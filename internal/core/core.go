@@ -7,14 +7,18 @@
 // rates, shuttling activity) that drive the architectural study.
 //
 // The Toolflow caches benchmark circuits and evaluates independent design
-// points concurrently, which is what makes the full Figure 6-8 parameter
+// points concurrently on one ordered engine, Stream: a bounded worker pool
+// whose rows come back in index order. Sweep, and both forms of the sweep
+// service, run on it; it is what makes the full Figure 6-8 parameter
 // sweeps (hundreds of compile+simulate runs) complete in seconds.
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cache"
@@ -192,34 +196,84 @@ func (tf *Toolflow) compute(pt Point) Outcome {
 	return Outcome{Point: pt, Result: res}
 }
 
-// Sweep executes all points concurrently (bounded by GOMAXPROCS) and
-// returns outcomes in input order.
+// Sweep executes all points on the Stream engine (GOMAXPROCS workers) and
+// returns outcomes in input order. The look-ahead spans the whole slice,
+// which Sweep holds anyway, so a slow point never idles the other workers.
 func (tf *Toolflow) Sweep(points []Point) []Outcome {
-	out := make([]Outcome, len(points))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(points) {
-		workers = len(points)
+	n := len(points)
+	out := make([]Outcome, n)
+	tf.Stream(context.Background(), 0, int64(n), runtime.GOMAXPROCS(0), n,
+		func(i int64) Point { return points[i] },
+		func(r Row) bool { out[r.Index] = r.Outcome; return true })
+	return out
+}
+
+// Row is one design point evaluated by Stream.
+type Row struct {
+	Index   int64
+	Outcome Outcome
+	// Cached reports a cache (or in-flight duplicate) hit, as from Do.
+	Cached bool
+	// Elapsed is the wall time of the Do call.
+	Elapsed time.Duration
+}
+
+// Stream evaluates the points at(start) .. at(end-1) on a pool of workers
+// and calls emit once per index, in increasing order, from the calling
+// goroutine. At most workers points compute at once, and the feeder stays
+// within workers+ahead indices of the next row to emit, so ahead bounds
+// how many finished rows may wait behind a slow one. Once emit returns
+// false or ctx ends no further index is fed; Stream returns only after
+// every worker has exited. at must be safe for concurrent use.
+func (tf *Toolflow) Stream(ctx context.Context, start, end int64, workers, ahead int,
+	at func(int64) Point, emit func(Row) bool) {
+	n := end - start
+	if n <= 0 {
+		return
 	}
-	if workers < 1 {
-		workers = 1
+	workers = int(min(max(int64(workers), 1), n))
+	window := min(int64(workers)+max(int64(ahead), 0), n)
+	// Index i parks its row in slots[(i-start)%window]; the window bound
+	// means a slot is refilled only after its previous row was emitted,
+	// so the one-row buffer never blocks a worker.
+	slots := make([]chan Row, window)
+	for k := range slots {
+		slots[k] = make(chan Row, 1)
 	}
+	work := make(chan int64)
 	var wg sync.WaitGroup
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out[i] = tf.Run(points[i])
+			for i := range work {
+				pt := at(i)
+				t0 := time.Now()
+				o, cached := tf.Do(pt)
+				slots[(i-start)%window] <- Row{Index: i, Outcome: o, Cached: cached, Elapsed: time.Since(t0)}
 			}
 		}()
 	}
-	for i := range points {
-		next <- i
+	defer wg.Wait()
+	defer close(work)
+	// ctx is checked before each select as well: a ready feed and a done
+	// ctx may race inside select, and a cancelled stream must feed nothing.
+	for fed, next := start, start; next < end && ctx.Err() == nil; {
+		feed := work
+		if fed == end || fed-next == window {
+			feed = nil
+		}
+		select {
+		case feed <- fed:
+			fed++
+		case r := <-slots[(next-start)%window]:
+			if !emit(r) {
+				return
+			}
+			next++
+		case <-ctx.Done():
+		}
 	}
-	close(next)
-	wg.Wait()
-	return out
 }
 
 // CapacitySweep builds points for one app/topology/microarch across a

@@ -228,12 +228,12 @@ type RunResponse struct {
 	ElapsedUS int64       `json:"elapsed_us"`
 }
 
-// SweepLine is one NDJSON outcome line of POST /v1/sweep. For the
-// materialized-points form, Seq is the zero-based index of the point in
-// the request and lines stream in completion order. For the grammar
-// form, Seq is the point's index in the space expansion, lines stream in
-// expansion order, and Cursor resumes the sweep immediately after this
-// row (pass it back as resume_from with the same space).
+// SweepLine is one NDJSON outcome line of POST /v1/sweep. Lines stream
+// in Seq order in both forms. For the materialized-points form, Seq is
+// the zero-based index of the point in the request and there is no
+// Cursor. For the grammar form, Seq is the point's index in the space
+// expansion and Cursor resumes the sweep immediately after this row
+// (pass it back as resume_from with the same space).
 type SweepLine struct {
 	Seq    int    `json:"seq"`
 	Cursor string `json:"cursor,omitempty"`
@@ -350,93 +350,73 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "params: %v", err)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	if workers > len(req.Points) {
-		workers = len(req.Points)
-	}
-
 	tf := s.toolflowFor(params)
+	out := openNDJSON(w, r)
+	defer out.cancel()
+	start := time.Now()
+	summary := SweepSummary{Done: true}
+	n := len(req.Points)
+	tf.Stream(out.ctx, 0, int64(n), s.workers(req.Workers), n,
+		func(i int64) core.Point { return req.Points[i] },
+		func(row core.Row) bool {
+			if !out.write(SweepLine{Seq: int(row.Index), RunResponse: runResponse(row.Outcome, row.Cached, row.Elapsed)}) {
+				return false
+			}
+			summary.Total++
+			if row.Outcome.Err != nil {
+				summary.Failed++
+			}
+			if row.Cached {
+				summary.CacheHits++
+			}
+			return true
+		})
+	summary.ElapsedUS = time.Since(start).Microseconds()
+	out.write(summary)
+}
+
+// workers resolves a request's worker count against the server cap.
+func (s *Server) workers(requested int) int {
+	if requested <= 0 || requested > s.cfg.MaxWorkers {
+		return s.cfg.MaxWorkers
+	}
+	return requested
+}
+
+// ndjsonStream writes a sweep response one flushed JSON line at a time.
+// The first failed write (the client is gone) marks the stream dropped
+// and cancels ctx, which stops the sweep feeding further points.
+type ndjsonStream struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	enc     *json.Encoder
+	flusher http.Flusher
+	dropped bool
+}
+
+func openNDJSON(w http.ResponseWriter, r *http.Request) *ndjsonStream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	out := &ndjsonStream{enc: json.NewEncoder(w)}
+	out.ctx, out.cancel = context.WithCancel(r.Context())
+	out.flusher, _ = w.(http.Flusher)
+	return out
+}
 
-	// A dropped connection surfaces as an encode error. The first write
-	// failure cancels the feeder and suppresses every later emit, so at
-	// most `workers` in-flight points are still evaluated before the
-	// request winds down — not the whole remaining sweep.
-	start := time.Now()
-	ctx, cancelFeed := context.WithCancel(r.Context())
-	defer cancelFeed()
-	var (
-		writeMu     sync.Mutex
-		writeNoMore bool
-	)
-	enc := json.NewEncoder(w)
-	emit := func(v any) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if writeNoMore {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			writeNoMore = true
-			cancelFeed()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+// write encodes v as one line and reports whether the client got it.
+func (out *ndjsonStream) write(v any) bool {
+	if out.dropped {
+		return false
 	}
-
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range req.Points {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var (
-		wg       sync.WaitGroup
-		countMu  sync.Mutex
-		failed   int
-		hits     int
-		streamed int
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				opStart := time.Now()
-				o, cached := tf.Do(req.Points[idx])
-				emit(SweepLine{Seq: idx, RunResponse: runResponse(o, cached, time.Since(opStart))})
-				countMu.Lock()
-				streamed++
-				if o.Err != nil {
-					failed++
-				}
-				if cached {
-					hits++
-				}
-				countMu.Unlock()
-			}
-		}()
+	if err := out.enc.Encode(v); err != nil {
+		out.dropped = true
+		out.cancel()
+		return false
 	}
-	wg.Wait()
-	emit(SweepSummary{
-		Done:      true,
-		Total:     streamed,
-		Failed:    failed,
-		CacheHits: hits,
-		ElapsedUS: time.Since(start).Microseconds(),
-	})
+	if out.flusher != nil {
+		out.flusher.Flush()
+	}
+	return true
 }
 
 // AppInfo is one entry of GET /v1/apps.

@@ -457,3 +457,57 @@ func TestSweepStopsEvaluatingAfterClientDrop(t *testing.T) {
 		t.Fatalf("writer saw %d writes, want at least the failing second", w.writes)
 	}
 }
+
+func TestPointsSweepStreamsInSeqOrderBehindSlowPoint(t *testing.T) {
+	_, ts := newTestServer(t)
+	// Seq 0 is far slower than the BV points behind it, so four workers
+	// finish those first; the rows must still arrive in seq order.
+	var sb strings.Builder
+	sb.WriteString(`{"workers":4,"points":[{"app":"QFT@256","topology":"L12","capacity":30}`)
+	const total = 9
+	for i := 1; i < total; i++ {
+		fmt.Fprintf(&sb, `,{"app":"BV@8","topology":"L%d","capacity":%d}`, 2+i%4, 14+i)
+	}
+	sb.WriteString(`]}`)
+	resp := postJSON(t, ts.URL+"/v1/sweep", sb.String())
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	var rows []SweepLine
+	var summary *SweepSummary
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if bytes.Contains(line, []byte(`"grid_size"`)) || bytes.Contains(line, []byte(`"cursor"`)) ||
+			bytes.Contains(line, []byte(`"sweep_id"`)) {
+			t.Errorf("points form must carry no header, cursor or sweep id: %q", line)
+		}
+		if bytes.Contains(line, []byte(`"done":true`)) {
+			summary = new(SweepSummary)
+			if err := json.Unmarshal(line, summary); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var row SweepLine
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("bad row %q: %v", line, err)
+		}
+		if row.Error != "" {
+			t.Errorf("seq %d: %s", row.Seq, row.Error)
+		}
+		rows = append(rows, row)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != total || summary == nil || summary.Total != total {
+		t.Fatalf("rows = %d, summary = %+v", len(rows), summary)
+	}
+	for i, row := range rows {
+		if row.Seq != i {
+			t.Fatalf("row %d has seq %d: rows must stream in seq order", i, row.Seq)
+		}
+	}
+}

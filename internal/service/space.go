@@ -1,15 +1,14 @@
 package service
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
@@ -234,14 +233,6 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sweeps.snapshotAll())
 }
 
-// slot carries one grid index through the worker pool. res is buffered so
-// a worker can always deposit its row and move on, even after the client
-// has dropped and the emitter stopped draining promptly.
-type slot struct {
-	idx int64
-	res chan RunResponse
-}
-
 // handleSpaceSweep streams the lazy expansion of a sweep grammar as
 // NDJSON. Points are evaluated concurrently but emitted strictly in
 // expansion order, each row carrying the cursor that resumes immediately
@@ -295,44 +286,12 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 	if req.Limit > 0 && start+req.Limit < end {
 		end = start + req.Limit
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	if n := end - start; int64(workers) > n {
-		workers = int(n)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	tf := s.toolflowFor(params)
 	st := s.sweeps.add(grid, start, end, req.Shard)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	// The emitter below is the only writer, so no write lock is needed.
-	// A failed write (client gone) cancels the feeder; workers then wind
-	// down after at most their in-flight points.
-	ctx, cancelFeed := context.WithCancel(r.Context())
-	defer cancelFeed()
-	enc := json.NewEncoder(w)
-	alive := true
-	write := func(v any) {
-		if !alive {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			alive = false
-			cancelFeed()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	write(SweepHeader{
+	out := openNDJSON(w, r)
+	defer out.cancel()
+	out.write(SweepHeader{
 		SweepID:    st.status.ID,
 		SpaceHash:  grid.Hash(),
 		GridSize:   grid.Size(),
@@ -342,66 +301,21 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		ShardCount: st.status.ShardCount,
 	})
 
-	// order is the emission sequence and the backpressure bound: the
-	// feeder stalls once `workers` slots are pending emission, so at most
-	// ~2×workers points exist at once (queued here plus held by workers).
-	order := make(chan *slot, workers)
-	work := make(chan *slot)
-	go func() {
-		defer close(order)
-		defer close(work)
-		for i := start; i < end; i++ {
-			// Checked before the selects: both channel sends can be ready at
-			// the same time as ctx.Done, and select would pick arbitrarily —
-			// this keeps a dropped client from feeding any further points.
-			if ctx.Err() != nil {
-				return
-			}
-			sl := &slot{idx: i, res: make(chan RunResponse, 1)}
-			// Hand the slot to a worker before queueing it for emission:
-			// every slot the emitter sees is guaranteed to be filled, so a
-			// cancellation can never strand the emitter on an empty slot.
-			select {
-			case work <- sl:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case order <- sl:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sl := range work {
-				opStart := time.Now()
-				o, cached := tf.Do(grid.PointAt(sl.idx))
-				sl.res <- runResponse(o, cached, time.Since(opStart))
-			}
-		}()
-	}
-
+	// A look-ahead of one pool's worth keeps at most ~2×workers points
+	// expanded at once, however large the window.
+	workers := s.workers(req.Workers)
 	sweepStart := time.Now()
-	for sl := range order {
-		resp := <-sl.res
-		if !alive {
-			continue // drain so progress stays truthful
+	tf.Stream(out.ctx, start, end, workers, workers, grid.PointAt, func(row core.Row) bool {
+		if !out.write(SweepLine{
+			Seq:         int(row.Index),
+			Cursor:      grid.Cursor(row.Index + 1),
+			RunResponse: runResponse(row.Outcome, row.Cached, row.Elapsed),
+		}) {
+			return false
 		}
-		write(SweepLine{
-			Seq:         int(sl.idx),
-			Cursor:      grid.Cursor(sl.idx + 1),
-			RunResponse: resp,
-		})
-		if alive {
-			st.note(resp.Error != "", resp.Cached)
-		}
-	}
-	wg.Wait()
+		st.note(row.Outcome.Err != nil, row.Cached)
+		return true
+	})
 	snap := st.snapshot()
 	summary := SweepSummary{
 		Done:      true,
@@ -419,6 +333,6 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 	if end < window.End {
 		summary.NextCursor = grid.Cursor(end)
 	}
-	write(summary)
-	st.finish(!alive)
+	out.write(summary)
+	st.finish(out.dropped)
 }
