@@ -4,9 +4,10 @@
 // multi-module devices. With no selection flags it runs everything. With
 // -csv DIR it additionally writes the raw figure data as CSV files.
 //
-// Every figure runs on one shared toolflow with a content-addressed
+// Every study runs on one shared toolflow with a content-addressed
 // outcome cache, so design points that recur across figures (Figure 8's
-// grid contains Figure 6 and the L6 half of Figure 7) are computed once.
+// grid contains Figure 6 and the L6 half of Figure 7) are computed once;
+// the TITAN study runs its link latencies on calibration views of it.
 // Failed design points render as NaN in the affected series; they are
 // summarized on stderr and make the command exit nonzero.
 //
@@ -110,9 +111,7 @@ func realMain() int {
 		failed += run("policies", *csvDir, func() (artifact, error) { return experiments.RunPolicyComparisonWith(runner) })
 	}
 	if all || *titan {
-		// The link latency is a physical parameter, so the study manages
-		// its own per-latency runners instead of sharing the cached one.
-		failed += run("titan", *csvDir, func() (artifact, error) { return experiments.RunTitan(params) })
+		failed += run("titan", *csvDir, func() (artifact, error) { return experiments.RunTitanWith(runner) })
 	}
 	if st := runner.CacheStats(); st.Misses > 0 {
 		// Misses includes retries of failed points (errors are never

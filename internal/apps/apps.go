@@ -98,9 +98,10 @@ func ByName(name string) (*circuit.Circuit, error) {
 // ByName's "<base>@<n>" form). Sized names reach the HTTP service
 // unvalidated, and an unbounded n is a resource-exhaustion vector: a
 // QFT@n circuit holds ~n²/2 gate records, so one request naming a huge
-// size would build a multi-gigabyte circuit and pin it in the toolflow
-// cache. The cap comfortably covers the TITAN-scale (500+ qubit) studies
-// on the roadmap.
+// size would build a multi-gigabyte circuit and hold it in the toolflow's
+// shared circuit stage. That stage is bounded by entry count, not bytes,
+// so this cap is what bounds one entry. It comfortably covers the
+// TITAN-scale (500+ qubit) studies on the roadmap.
 const MaxSizedQubits = 1024
 
 // sizedFamily couples one "<base>@<n>" family's size rule with its

@@ -6,11 +6,13 @@
 // application metrics (run time, reliability) and device metrics (heating
 // rates, shuttling activity) that drive the architectural study.
 //
-// The Toolflow caches benchmark circuits and evaluates independent design
-// points concurrently on one ordered engine, Stream: a bounded worker pool
-// whose rows come back in index order. Sweep, and both forms of the sweep
-// service, run on it; it is what makes the full Figure 6-8 parameter
-// sweeps (hundreds of compile+simulate runs) complete in seconds.
+// One Toolflow holds a bounded circuit stage, shared by every calibration,
+// and an outcome tier; WithParams views it under another calibration.
+// Independent design points run concurrently on one ordered engine,
+// Stream: a bounded worker pool whose rows come back in index order.
+// Sweep, and both forms of the sweep service, run on it; it is what makes
+// the full Figure 6-8 parameter sweeps (hundreds of compile+simulate runs)
+// complete in seconds.
 package core
 
 import (
@@ -66,9 +68,14 @@ type Outcome struct {
 	Err    error
 }
 
-// Toolflow executes design points with cached circuits and, optionally, a
-// content-addressed outcome cache. It is safe for concurrent use after
-// construction.
+// maxCircuits bounds the circuit stage. It covers the 26 distinct apps of
+// a full evaluation run (6 paper, 16 scaling, 4 QEC), so no study rebuilds
+// a circuit, while a sweep over many sized apps cannot pin them all.
+const maxCircuits = 32
+
+// Toolflow executes design points on a shared, bounded circuit stage and,
+// optionally, a content-addressed outcome cache. It is safe for concurrent
+// use after construction, and so are its WithParams views.
 type Toolflow struct {
 	base models.Params
 	// baseHash content-addresses the physical parameters once (with Gate
@@ -78,16 +85,17 @@ type Toolflow struct {
 	// outcomes is any cache tier: the in-memory LRU, or a two-level
 	// persistent store shared across processes (cache.Store).
 	outcomes cache.Tier[Outcome]
-	mu       sync.Mutex
-	circuits map[string]*circuit.Circuit
+	// circuits memoizes built benchmark circuits by app name. A circuit
+	// does not depend on the calibration, so every view shares it.
+	circuits *cache.Cache[*circuit.Circuit]
 }
 
 // New returns a toolflow whose physical parameters default to base (the
-// per-point gate implementation overrides base.Gate). Every design point
-// is computed from scratch; use NewCached or NewWithCache to reuse
-// outcomes across sweeps.
+// per-point gate implementation overrides base.Gate), with its own
+// bounded circuit stage. Every design point is computed from scratch; use
+// NewCached or NewWithCache to reuse outcomes across sweeps.
 func New(base models.Params) *Toolflow {
-	return &Toolflow{base: base, circuits: make(map[string]*circuit.Circuit)}
+	return &Toolflow{base: base, baseHash: paramsHash(base), circuits: cache.New[*circuit.Circuit](maxCircuits)}
 }
 
 // NewCached returns a toolflow backed by a fresh outcome cache holding at
@@ -99,13 +107,25 @@ func NewCached(base models.Params, entries int) *Toolflow {
 // NewWithCache returns a toolflow backed by any cache tier c — a plain
 // in-memory cache.Cache or a persistent two-level cache.Store — which may
 // be shared with other toolflows and, for a disk-backed store, with other
-// processes (the cache key covers both point and parameters, so toolflows
-// under different calibrations cannot cross-talk).
+// processes (the cache key covers both point and parameters, so
+// calibrations cannot cross-talk).
 func NewWithCache(base models.Params, c cache.Tier[Outcome]) *Toolflow {
 	tf := New(base)
 	tf.outcomes = c
-	tf.baseHash = paramsHash(base)
 	return tf
+}
+
+// WithParams returns a view of the toolflow under the calibration p. The
+// view shares the receiver's circuit stage and outcome tier, and outcomes
+// it computes are keyed under p; the receiver itself is returned when p
+// is its own calibration.
+func (tf *Toolflow) WithParams(p models.Params) *Toolflow {
+	if p == tf.base {
+		return tf
+	}
+	view := *tf
+	view.base, view.baseHash = p, paramsHash(p)
+	return &view
 }
 
 // Params returns the toolflow's base physical parameters.
@@ -121,21 +141,6 @@ func (tf *Toolflow) CacheStats() cache.Stats {
 		return cache.Stats{}
 	}
 	return tf.outcomes.Stats()
-}
-
-// circuitFor builds or fetches the cached circuit for an app name.
-func (tf *Toolflow) circuitFor(app string) (*circuit.Circuit, error) {
-	tf.mu.Lock()
-	defer tf.mu.Unlock()
-	if c, ok := tf.circuits[app]; ok {
-		return c, nil
-	}
-	c, err := apps.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	tf.circuits[app] = c
-	return c, nil
 }
 
 // Run executes a single design point: build device, compile, simulate.
@@ -166,7 +171,7 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 
 // compute executes the point uncached: build device, compile, simulate.
 func (tf *Toolflow) compute(pt Point) Outcome {
-	c, err := tf.circuitFor(pt.App)
+	c, err, _ := tf.circuits.Do(pt.App, func() (*circuit.Circuit, error) { return apps.ByName(pt.App) })
 	if err != nil {
 		return Outcome{Point: pt, Err: err}
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/models"
 )
 
@@ -47,16 +50,75 @@ func TestToolflowBadParams(t *testing.T) {
 
 func TestCircuitCacheSharedAcrossPoints(t *testing.T) {
 	tf := New(models.Default())
-	a, err := tf.circuitFor("QFT")
-	if err != nil {
-		t.Fatal(err)
+	run := func(capacity int) *circuit.Circuit {
+		t.Helper()
+		if o := tf.Run(Point{App: "QFT", Topology: "L6", Capacity: capacity, Gate: models.FM}); o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		c, ok := tf.circuits.Get("QFT")
+		if !ok {
+			t.Fatal("circuit stage does not hold QFT after a run")
+		}
+		return c
 	}
-	b, err := tf.circuitFor("QFT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	if a, b := run(22), run(26); a != b {
 		t.Error("circuit cache should return the same instance")
+	}
+	if st := tf.circuits.Stats(); st.Misses != 1 {
+		t.Errorf("QFT built %d times across two points, want 1", st.Misses)
+	}
+}
+
+// TestCircuitStageBoundedAndShared sweeps more distinct apps than the
+// circuit stage holds: the stage stays at its bound, eviction changes no
+// outcome, and a WithParams view reuses the same circuits while keying
+// its outcomes under its own calibration.
+func TestCircuitStageBoundedAndShared(t *testing.T) {
+	base := models.Default()
+	tf := New(base)
+	var pts []Point
+	for n := 1; n <= maxCircuits+8; n++ {
+		pts = append(pts, Point{App: fmt.Sprintf("BV@%d", n), Topology: "L3", Capacity: 22, Gate: models.FM, Reorder: models.GS})
+	}
+	got := tf.Sweep(pts)
+	if st := tf.circuits.Stats(); st.Entries != maxCircuits || st.Evictions == 0 {
+		t.Errorf("circuit stage after %d apps: %+v, want %d entries and some evictions", len(pts), st, maxCircuits)
+	}
+	fresh := New(base)
+	for i, pt := range pts {
+		want := fresh.Run(pt)
+		if got[i].Err != nil || want.Err != nil {
+			t.Fatalf("%s: %v / %v", pt, got[i].Err, want.Err)
+		}
+		if !reflect.DeepEqual(got[i].Result, want.Result) {
+			t.Errorf("%s: outcome on the bounded stage differs from a fresh toolflow", pt)
+		}
+	}
+
+	if tf.WithParams(base) != tf {
+		t.Error("WithParams(own calibration) should return the receiver")
+	}
+	hot := base
+	hot.K1 *= 10
+	view := tf.WithParams(hot)
+	pt := pts[len(pts)-1]
+	before := tf.circuits.Stats().Misses
+	if o := view.Run(pt); o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	if st := tf.circuits.Stats(); st.Misses != before {
+		t.Errorf("view rebuilt %s: stage misses %d -> %d", pt.App, before, st.Misses)
+	}
+	a, okA := tf.circuits.Get(pt.App)
+	b, okB := view.circuits.Get(pt.App)
+	if !okA || !okB || a != b {
+		t.Errorf("view and receiver hold different circuits for %s", pt.App)
+	}
+	if CacheKey(pt, view.Params()) == CacheKey(pt, tf.Params()) {
+		t.Error("view shares the receiver's cache key for the same point")
+	}
+	if view.Params() != hot || tf.Params() != base {
+		t.Error("WithParams changed the receiver's calibration or ignored p")
 	}
 }
 

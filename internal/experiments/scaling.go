@@ -39,7 +39,8 @@ type Scaling struct {
 // scalingSizes is the qubit grid for the scaling study. The sizes past
 // 200 step into the regime the §VIII.B discussion calls out as the QCCD
 // scaling frontier; at 512 qubits the sweep also includes a photonically
-// linked two-module device (see RunTitan for the full module study).
+// linked two-module device (see RunTitanWith for the full module study,
+// which shares this study's QFT@512 circuit when run on the same runner).
 var scalingSizes = []int{64, 96, 128, 160, 200, 256, 384, 512}
 
 // scalingCapacity is the fixed per-trap ion limit of the study.

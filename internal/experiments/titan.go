@@ -72,16 +72,15 @@ func titanTopology(k int) (spec string, traps int) {
 	return fmt.Sprintf("Mod%d:G2x%d", k, cols), k * 2 * cols
 }
 
-// RunTitan executes the TITAN-scale study. Unlike the other studies it
-// cannot share one runner: the link latency is a physical parameter, not
-// a design-point axis, so each latency value gets its own runner seeded
-// from base.
-func RunTitan(base models.Params) (*Titan, error) {
+// RunTitanWith executes the TITAN-scale study on r. The link latency is a
+// physical parameter, not a design-point axis, so each latency runs on a
+// WithParams view of r: the views share r's circuit stage, so QFT@512 is
+// built once, and r's outcome cache, keyed per calibration.
+func RunTitanWith(r *Runner) (*Titan, error) {
 	t := &Titan{App: titanApp, Qubits: titanQubits, Latencies: titanLatencies}
 	for _, lat := range titanLatencies {
-		params := base
+		params := r.Params()
 		params.PhotonicLinkLatency = lat
-		r := NewRunner(params)
 		var pts []Point
 		var rows []TitanRow
 		for _, k := range titanModules {
@@ -98,7 +97,7 @@ func RunTitan(base models.Params) (*Titan, error) {
 				Capacity: scalingCapacity, LinkLatencyUS: lat,
 			})
 		}
-		outs := r.Sweep(pts)
+		outs := r.WithParams(params).Sweep(pts)
 		for i := range rows {
 			rows[i].Outcome = outs[i]
 		}

@@ -20,8 +20,10 @@
 //	GET  /healthz        liveness plus cache statistics
 //
 // Requests may carry a complete "params" object (the format of GET
-// /v1/params) to evaluate under a different calibration; the outcome
-// cache keys on (point, params), so calibrations never cross-talk.
+// /v1/params) to evaluate under a different calibration. The server still
+// runs one toolflow, with one bounded circuit stage: such a request runs on
+// a WithParams view of it, and the outcome cache keys on (point, params),
+// so calibrations never cross-talk.
 package service
 
 import (
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
@@ -96,26 +97,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxToolflows bounds the per-calibration toolflow table; evicted
-// toolflows only lose their circuit memos, never cached outcomes.
-const maxToolflows = 64
-
 // Server is the sweep service. Construct with New; safe for concurrent
 // use.
 type Server struct {
-	cfg      Config
+	cfg Config
+	// flow is the process's one toolflow under the base calibration. A
+	// request with a params override runs on flow.WithParams, a view that
+	// shares its circuit stage and outcome store.
+	flow     *core.Toolflow
 	outcomes *cache.Store[core.Outcome]
 	start    time.Time
 	sweeps   *sweepRegistry
-
-	mu    sync.Mutex
-	flows map[string]*core.Toolflow // keyed by params hash
 }
 
-// New returns a server with one shared outcome cache: an in-memory LRU
-// front, plus a persistent disk back when Config.CacheDir is set. A
-// non-zero but invalid base calibration is an error, never silently
-// replaced, and so is an unusable cache directory.
+// New returns a server with one toolflow and one shared outcome cache: an
+// in-memory LRU front, plus a persistent disk back when Config.CacheDir
+// is set. A non-zero but invalid base calibration is an error, never
+// silently replaced, and so is an unusable cache directory.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
@@ -128,33 +126,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
+	outcomes := cache.NewStore[core.Outcome](cfg.CacheEntries, disk)
 	return &Server{
 		cfg:      cfg,
-		outcomes: cache.NewStore[core.Outcome](cfg.CacheEntries, disk),
+		flow:     core.NewWithCache(cfg.Params, outcomes),
+		outcomes: outcomes,
 		start:    time.Now(),
 		sweeps:   newSweepRegistry(),
-		flows:    make(map[string]*core.Toolflow),
 	}, nil
-}
-
-// toolflowFor returns the toolflow for one calibration, creating it on
-// first use. All toolflows share the server's outcome cache.
-func (s *Server) toolflowFor(p models.Params) *core.Toolflow {
-	key := p.Hash()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tf, ok := s.flows[key]; ok {
-		return tf
-	}
-	if len(s.flows) >= maxToolflows {
-		for k := range s.flows {
-			delete(s.flows, k)
-			break
-		}
-	}
-	tf := core.NewWithCache(p, s.outcomes)
-	s.flows[key] = tf
-	return tf
 }
 
 // Handler returns the routed HTTP handler.
@@ -269,7 +248,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	o, cached := s.toolflowFor(params).Do(req.Point)
+	o, cached := s.flow.WithParams(params).Do(req.Point)
 	writeJSON(w, http.StatusOK, runResponse(o, cached, time.Since(start)))
 }
 
@@ -350,13 +329,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "params: %v", err)
 		return
 	}
-	tf := s.toolflowFor(params)
 	out := openNDJSON(w, r)
 	defer out.cancel()
 	start := time.Now()
 	summary := SweepSummary{Done: true}
 	n := len(req.Points)
-	tf.Stream(out.ctx, 0, int64(n), s.workers(req.Workers), n,
+	s.flow.WithParams(params).Stream(out.ctx, 0, int64(n), s.workers(req.Workers), n,
 		func(i int64) core.Point { return req.Points[i] },
 		func(row core.Row) bool {
 			if !out.write(SweepLine{Seq: int(row.Index), RunResponse: runResponse(row.Outcome, row.Cached, row.Elapsed)}) {

@@ -101,26 +101,29 @@ func TestRunComputedFailureIsAnOutcome(t *testing.T) {
 	}
 }
 
+// badRequestCases are requests every endpoint must reject with a 400;
+// FuzzSweepRequest seeds its corpus from them.
+var badRequestCases = []struct {
+	name, path, body string
+}{
+	{"malformed json", "/v1/run", `{"point":`},
+	{"unknown field", "/v1/run", `{"pointt":{}}`},
+	{"missing app", "/v1/run", `{"point":{"topology":"L6","capacity":20}}`},
+	{"typo in nested point field", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"reorderr":"IS"}}`},
+	{"typo in nested params field", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM","bogus":1}}`},
+	{"bad gate name", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"gate":"ZZ"}}`},
+	{"unknown policy", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}}`},
+	{"unknown policy in sweep point", "/v1/sweep", `{"points":[{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}]}`},
+	{"zero capacity", "/v1/run", `{"point":{"app":"BV","topology":"L6"}}`},
+	{"incomplete params", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM"}}`},
+	{"empty sweep", "/v1/sweep", `{"points":[]}`},
+	{"oversized sweep", "/v1/sweep", `{"points":[` + strings.Repeat(`{"app":"BV","topology":"L6","capacity":20},`, 50) + `{"app":"BV","topology":"L6","capacity":20}]}`},
+	{"invalid sweep point", "/v1/sweep", `{"points":[{"app":"BV","topology":"L6","capacity":20},{"app":"","topology":"L6","capacity":20}]}`},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct {
-		name, path, body string
-	}{
-		{"malformed json", "/v1/run", `{"point":`},
-		{"unknown field", "/v1/run", `{"pointt":{}}`},
-		{"missing app", "/v1/run", `{"point":{"topology":"L6","capacity":20}}`},
-		{"typo in nested point field", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"reorderr":"IS"}}`},
-		{"typo in nested params field", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM","bogus":1}}`},
-		{"bad gate name", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"gate":"ZZ"}}`},
-		{"unknown policy", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}}`},
-		{"unknown policy in sweep point", "/v1/sweep", `{"points":[{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}]}`},
-		{"zero capacity", "/v1/run", `{"point":{"app":"BV","topology":"L6"}}`},
-		{"incomplete params", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM"}}`},
-		{"empty sweep", "/v1/sweep", `{"points":[]}`},
-		{"oversized sweep", "/v1/sweep", `{"points":[` + strings.Repeat(`{"app":"BV","topology":"L6","capacity":20},`, 50) + `{"app":"BV","topology":"L6","capacity":20}]}`},
-		{"invalid sweep point", "/v1/sweep", `{"points":[{"app":"BV","topology":"L6","capacity":20},{"app":"","topology":"L6","capacity":20}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequestCases {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)

@@ -169,25 +169,44 @@ func TestShardWithLimitPaginatesInsideWindow(t *testing.T) {
 	}
 }
 
+// TestShardHugeLimitStreamsWholeWindow pins the limit arithmetic: a limit
+// near MaxInt64 past a nonzero window start must not overflow into a
+// negative end, but stream the whole window with no continuation cursor.
+func TestShardHugeLimitStreamsWholeWindow(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/v1/sweep", shardBody(`,"shard":{"start":3,"end":7},"limit":9223372036854775807`))
+	header, rows, summary := ndjson(t, resp.Body)
+	resp.Body.Close()
+	if header == nil || summary == nil || header.Start != 3 || header.End != 7 {
+		t.Fatalf("header = %+v, summary = %+v, want window [3, 7)", header, summary)
+	}
+	if len(rows) != 4 || summary.Total != 4 || summary.NextCursor != "" {
+		t.Errorf("rows = %d, summary = %+v, want 4 rows and no next_cursor", len(rows), summary)
+	}
+}
+
+// shardBadRequestCases are shard requests POST /v1/sweep must reject
+// with a 400; FuzzSweepRequest seeds its corpus from them.
+var shardBadRequestCases = []struct{ name, body string }{
+	{"empty shard", shardBody(`,"shard":{}`)},
+	{"index without count", shardBody(`,"shard":{"index":0}`)},
+	{"count without index", shardBody(`,"shard":{"count":2}`)},
+	{"mixed forms", shardBody(`,"shard":{"index":0,"count":2,"start":0,"end":4}`)},
+	{"start without end", shardBody(`,"shard":{"start":2}`)},
+	{"zero count", shardBody(`,"shard":{"index":0,"count":0}`)},
+	{"negative count", shardBody(`,"shard":{"index":0,"count":-2}`)},
+	{"index at count", shardBody(`,"shard":{"index":2,"count":2}`)},
+	{"negative index", shardBody(`,"shard":{"index":-1,"count":2}`)},
+	{"window out of range", shardBody(`,"shard":{"start":0,"end":99}`)},
+	{"inverted window", shardBody(`,"shard":{"start":5,"end":4}`)},
+	{"negative start", shardBody(`,"shard":{"start":-1,"end":4}`)},
+	{"unknown shard field", shardBody(`,"shard":{"index":0,"count":2,"bogus":1}`)},
+	{"shard with points form", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"shard":{"index":0,"count":2}}`},
+}
+
 func TestShardBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct{ name, body string }{
-		{"empty shard", shardBody(`,"shard":{}`)},
-		{"index without count", shardBody(`,"shard":{"index":0}`)},
-		{"count without index", shardBody(`,"shard":{"count":2}`)},
-		{"mixed forms", shardBody(`,"shard":{"index":0,"count":2,"start":0,"end":4}`)},
-		{"start without end", shardBody(`,"shard":{"start":2}`)},
-		{"zero count", shardBody(`,"shard":{"index":0,"count":0}`)},
-		{"negative count", shardBody(`,"shard":{"index":0,"count":-2}`)},
-		{"index at count", shardBody(`,"shard":{"index":2,"count":2}`)},
-		{"negative index", shardBody(`,"shard":{"index":-1,"count":2}`)},
-		{"window out of range", shardBody(`,"shard":{"start":0,"end":99}`)},
-		{"inverted window", shardBody(`,"shard":{"start":5,"end":4}`)},
-		{"negative start", shardBody(`,"shard":{"start":-1,"end":4}`)},
-		{"unknown shard field", shardBody(`,"shard":{"index":0,"count":2,"bogus":1}`)},
-		{"shard with points form", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"shard":{"index":0,"count":2}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range shardBadRequestCases {
 		resp := postJSON(t, ts.URL+"/v1/sweep", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)

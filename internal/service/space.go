@@ -282,12 +282,13 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		// remainder instead of leaking another shard's rows.
 		start = window.Clamp(idx)
 	}
+	// Compare the limit against the remaining length, not start+limit
+	// against end: start+limit overflows for a limit near MaxInt64.
 	end := window.End
-	if req.Limit > 0 && start+req.Limit < end {
+	if req.Limit > 0 && req.Limit < end-start {
 		end = start + req.Limit
 	}
 
-	tf := s.toolflowFor(params)
 	st := s.sweeps.add(grid, start, end, req.Shard)
 	out := openNDJSON(w, r)
 	defer out.cancel()
@@ -305,7 +306,7 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 	// expanded at once, however large the window.
 	workers := s.workers(req.Workers)
 	sweepStart := time.Now()
-	tf.Stream(out.ctx, start, end, workers, workers, grid.PointAt, func(row core.Row) bool {
+	s.flow.WithParams(params).Stream(out.ctx, start, end, workers, workers, grid.PointAt, func(row core.Row) bool {
 		if !out.write(SweepLine{
 			Seq:         int(row.Index),
 			Cursor:      grid.Cursor(row.Index + 1),

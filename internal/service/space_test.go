@@ -388,30 +388,33 @@ func TestSpaceSweepFailedPointsStreamAsRows(t *testing.T) {
 	}
 }
 
+// spaceBadRequestCases are grammar sweep bodies POST /v1/sweep must
+// reject with a 400; FuzzSweepRequest seeds its corpus from them.
+var spaceBadRequestCases = []struct {
+	name, body string
+}{
+	{"points and space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"space":` + testSpaceBody + `}`},
+	{"resume without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"resume_from":"abc"}`},
+	{"limit without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"limit":5}`},
+	{"empty space", `{"space":{}}`},
+	{"space with no capacities", `{"space":{"apps":["BV"],"topologies":["L2"]}}`},
+	{"unknown app", `{"space":{"apps":["Nope"],"topologies":["L2"],"capacities":[14]}}`},
+	{"bad sized app size", `{"space":{"apps":["QAOA@1"],"topologies":["L2"],"capacities":[14]}}`},
+	{"oversized app", `{"space":{"apps":["QFT@4096"],"topologies":["L2"],"capacities":[14]}}`},
+	{"bad topology", `{"space":{"apps":["BV"],"topologies":["Z9"],"capacities":[14]}}`},
+	{"zero capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[0]}}`},
+	{"duplicate capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14,14]}}`},
+	{"bad gate", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"gates":["ZZ"]}}`},
+	{"bad policy", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"policies":["nope"]}}`},
+	{"duplicate policy", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"policies":["baseline","BASELINE"]}}`},
+	{"unknown space field", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"bogus":1}}`},
+	{"negative limit", `{"space":` + testSpaceBody + `,"limit":-1}`},
+	{"garbage cursor", `{"space":` + testSpaceBody + `,"resume_from":"garbage!!"}`},
+}
+
 func TestSpaceSweepBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct {
-		name, body string
-	}{
-		{"points and space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"space":` + testSpaceBody + `}`},
-		{"resume without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"resume_from":"abc"}`},
-		{"limit without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"limit":5}`},
-		{"empty space", `{"space":{}}`},
-		{"space with no capacities", `{"space":{"apps":["BV"],"topologies":["L2"]}}`},
-		{"unknown app", `{"space":{"apps":["Nope"],"topologies":["L2"],"capacities":[14]}}`},
-		{"bad sized app size", `{"space":{"apps":["QAOA@1"],"topologies":["L2"],"capacities":[14]}}`},
-		{"oversized app", `{"space":{"apps":["QFT@4096"],"topologies":["L2"],"capacities":[14]}}`},
-		{"bad topology", `{"space":{"apps":["BV"],"topologies":["Z9"],"capacities":[14]}}`},
-		{"zero capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[0]}}`},
-		{"duplicate capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14,14]}}`},
-		{"bad gate", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"gates":["ZZ"]}}`},
-		{"bad policy", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"policies":["nope"]}}`},
-		{"duplicate policy", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"policies":["baseline","BASELINE"]}}`},
-		{"unknown space field", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"bogus":1}}`},
-		{"negative limit", `{"space":` + testSpaceBody + `,"limit":-1}`},
-		{"garbage cursor", `{"space":` + testSpaceBody + `,"resume_from":"garbage!!"}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range spaceBadRequestCases {
 		resp := postJSON(t, ts.URL+"/v1/sweep", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)

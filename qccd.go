@@ -222,7 +222,7 @@ type (
 	DesignPoint = experiments.Point
 	// Outcome pairs a design point with its result.
 	Outcome = experiments.Outcome
-	// Explorer runs design points concurrently with cached circuits.
+	// Explorer runs design points concurrently on a bounded circuit stage.
 	Explorer = experiments.Runner
 	// Figure6, Figure7 and Figure8 hold the regenerated evaluation data.
 	Figure6 = experiments.Fig6
