@@ -2,7 +2,9 @@
 // design toolflow and the sweep service: a concurrent, LRU-bounded map
 // from canonical keys to computed values with single-flight deduplication,
 // so identical in-flight design points are computed exactly once no matter
-// how many sweeps or HTTP requests ask for them concurrently.
+// how many sweeps or HTTP requests ask for them concurrently. The same
+// Cache, optionally under a byte budget, holds the toolflow's intermediate
+// artifacts (built circuits, compiled programs).
 package cache
 
 import (
@@ -25,26 +27,32 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Errors counts computations that returned an error (never stored).
 	Errors uint64 `json:"errors"`
-	// Evictions counts entries dropped by the LRU bound.
+	// Evictions counts entries dropped by the entry or byte bound.
 	Evictions uint64 `json:"evictions"`
 	// Entries is the current number of stored values.
 	Entries int `json:"entries"`
 }
 
 // Cache is a bounded concurrent memo table. The zero value is not usable;
-// construct with New. All methods are safe for concurrent use.
+// construct with New or NewBudget. All methods are safe for concurrent use.
 type Cache[V any] struct {
 	mu         sync.Mutex
 	maxEntries int
-	ll         *list.List
-	items      map[string]*list.Element
-	inflight   map[string]*call[V]
-	stats      Stats
+	// size and maxBytes are the optional byte budget (size nil: none);
+	// bytes is the summed size of the stored entries.
+	size     func(V) int64
+	maxBytes int64
+	bytes    int64
+	ll       *list.List
+	items    map[string]*list.Element
+	inflight map[string]*call[V]
+	stats    Stats
 }
 
 type entry[V any] struct {
-	key string
-	val V
+	key  string
+	val  V
+	size int64
 }
 
 type call[V any] struct {
@@ -64,6 +72,17 @@ func New[V any](maxEntries int) *Cache[V] {
 	}
 }
 
+// NewBudget returns a cache bounded both by maxEntries (as in New) and by
+// maxBytes, the summed size of its values as measured by size. A value
+// larger than maxBytes is returned to every caller but never stored;
+// otherwise each insert evicts least recently used entries until the
+// stored bytes are back within maxBytes.
+func NewBudget[V any](maxEntries int, maxBytes int64, size func(V) int64) *Cache[V] {
+	c := New[V](maxEntries)
+	c.size, c.maxBytes = size, maxBytes
+	return c
+}
+
 // Get returns the stored value for key, if present, marking it recently
 // used. It never blocks on in-flight computations.
 func (c *Cache[V]) Get(key string) (V, bool) {
@@ -78,8 +97,8 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Put stores a value under key unconditionally (subject to the LRU
-// bound), marking it recently used. The Store uses it to promote disk
+// Put stores a value under key unconditionally (subject to the LRU and
+// byte bounds), marking it recently used. The Store uses it to promote disk
 // hits into the memory front without charging a miss.
 func (c *Cache[V]) Put(key string, val V) {
 	c.mu.Lock()
@@ -94,6 +113,10 @@ func (c *Cache[V]) Put(key string, val V) {
 // every waiter but never stored, so a later call retries. The returned
 // bool reports whether the value came from the cache or an in-flight
 // computation rather than a fresh compute by this caller.
+//
+// A miss that finds the cache full evicts the least recently used entry
+// before compute runs, so the cache no longer pins the evicted value while
+// its replacement is computed.
 func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error, bool) {
 	c.mu.Lock()
 	if ele, ok := c.items[key]; ok {
@@ -112,6 +135,9 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error, bool) {
 	cl := &call[V]{done: make(chan struct{})}
 	c.inflight[key] = cl
 	c.stats.Misses++
+	if c.maxEntries > 0 && c.ll.Len() >= c.maxEntries {
+		c.evictTail()
+	}
 	c.mu.Unlock()
 
 	// Settle the call even if compute panics, so waiters are released and
@@ -136,20 +162,38 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error, bool) {
 	return cl.val, cl.err, false
 }
 
-// add stores a value under the lock, evicting the LRU tail past the bound.
+// add stores a value under the lock, then evicts the LRU tail past either
+// bound. A value over the whole byte budget is not stored, and replaces
+// any older value under key by nothing.
 func (c *Cache[V]) add(key string, val V) {
+	var n int64
+	if c.size != nil {
+		n = c.size(val)
+	}
 	if ele, ok := c.items[key]; ok {
-		c.ll.MoveToFront(ele)
-		ele.Value.(*entry[V]).val = val
+		c.remove(ele)
+	}
+	if c.size != nil && n > c.maxBytes {
 		return
 	}
-	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
-	for c.maxEntries > 0 && c.ll.Len() > c.maxEntries {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*entry[V]).key)
-		c.stats.Evictions++
+	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val, size: n})
+	c.bytes += n
+	for (c.maxEntries > 0 && c.ll.Len() > c.maxEntries) || (c.size != nil && c.bytes > c.maxBytes) {
+		c.evictTail()
 	}
+}
+
+// evictTail drops the least recently used entry, under the lock.
+func (c *Cache[V]) evictTail() {
+	c.remove(c.ll.Back())
+	c.stats.Evictions++
+}
+
+// remove unlinks one stored entry, under the lock.
+func (c *Cache[V]) remove(ele *list.Element) {
+	e := c.ll.Remove(ele).(*entry[V])
+	delete(c.items, e.key)
+	c.bytes -= e.size
 }
 
 // Len returns the current number of stored entries.
@@ -157,6 +201,14 @@ func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// Bytes returns the summed size of the stored entries; always 0 for a
+// cache without a byte budget.
+func (c *Cache[V]) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
 // Stats returns a snapshot of the activity counters.

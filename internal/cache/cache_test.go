@@ -149,3 +149,59 @@ func TestPanicReleasesWaitersAndRetries(t *testing.T) {
 		t.Errorf("after panic = (%d, %v, hit=%v)", v, err, hit)
 	}
 }
+
+func TestCacheByteBudget(t *testing.T) {
+	// Values are their own size in bytes.
+	c := NewBudget[int](0, 100, func(v int) int64 { return int64(v) })
+
+	// A value over the whole budget reaches every caller but is not kept.
+	v, err, hit := c.Do("huge", func() (int, error) { return 101, nil })
+	if err != nil || v != 101 || hit {
+		t.Fatalf("oversized = (%d, %v, hit=%v)", v, err, hit)
+	}
+	if st := c.Stats(); st.Entries != 0 || c.Bytes() != 0 {
+		t.Fatalf("oversized value stored: %+v, bytes %d", st, c.Bytes())
+	}
+
+	// Across a mixed-size sequence the stored bytes stay within budget,
+	// and the last value always survives its own insert.
+	for i, size := range []int{40, 30, 20, 100, 5, 60, 99, 1, 1, 70, 30} {
+		key := fmt.Sprint("k", i)
+		c.Do(key, func() (int, error) { return size, nil })
+		if b := c.Bytes(); b > 100 {
+			t.Fatalf("after %s (%d B): %d bytes stored, budget 100", key, size, b)
+		}
+		if got, ok := c.Get(key); !ok || got != size {
+			t.Fatalf("%s evicted by its own insert", key)
+		}
+	}
+
+	// An errored compute stores nothing and charges no bytes.
+	before, entries := c.Bytes(), c.Len()
+	if _, err, _ := c.Do("bad", func() (int, error) { return 10, errors.New("boom") }); err == nil {
+		t.Fatal("want the compute error")
+	}
+	if _, ok := c.Get("bad"); ok || c.Bytes() != before || c.Len() != entries {
+		t.Errorf("errored compute stored: bytes %d→%d, entries %d→%d", before, c.Bytes(), entries, c.Len())
+	}
+}
+
+func TestMissMakesRoomBeforeCompute(t *testing.T) {
+	const maxEntries = 3
+	c := New[int](maxEntries)
+	for i := 0; i < maxEntries; i++ {
+		c.Do(fmt.Sprint(i), func() (int, error) { return i, nil })
+	}
+	c.Get("0") // "1" is now the LRU tail
+	inCompute := -1
+	c.Do("new", func() (int, error) { inCompute = c.Len(); return 9, nil })
+	if inCompute != maxEntries-1 {
+		t.Errorf("Len during compute = %d, want %d", inCompute, maxEntries-1)
+	}
+	if _, ok := c.Get("1"); ok {
+		t.Error("the LRU tail should have made room")
+	}
+	if st := c.Stats(); st.Entries != maxEntries || st.Evictions != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}

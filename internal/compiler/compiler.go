@@ -75,6 +75,9 @@ func DefaultOptions() Options {
 }
 
 // Compile lowers circuit c onto device d, producing an executable program.
+// The program depends only on c, d's topology and capacity, and opts, and
+// it is never modified after Compile returns, so one program may be shared
+// by any number of concurrent simulations.
 func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)

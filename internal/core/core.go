@@ -6,8 +6,14 @@
 // application metrics (run time, reliability) and device metrics (heating
 // rates, shuttling activity) that drive the architectural study.
 //
-// One Toolflow holds a bounded circuit stage, shared by every calibration,
-// and an outcome tier; WithParams views it under another calibration.
+// A design point flows through three stages: circuit, then program, then
+// outcome. The circuit stage memoizes built benchmark circuits by app. The
+// program stage memoizes compiled programs by the compiler's inputs (app,
+// topology, capacity, reorder, policy). The gate implementation and the
+// calibration reach only the simulator, so they never cause a recompile.
+// The optional outcome tier memoizes simulated results by point and
+// calibration. The first two stages are bounded, and every calibration
+// shares them: WithParams views one Toolflow under another calibration.
 // Independent design points run concurrently on one ordered engine,
 // Stream: a bounded worker pool whose rows come back in index order.
 // Sweep, and both forms of the sweep service, run on it; it is what makes
@@ -20,13 +26,16 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
@@ -73,9 +82,16 @@ type Outcome struct {
 // a circuit, while a sweep over many sized apps cannot pin them all.
 const maxCircuits = 32
 
-// Toolflow executes design points on a shared, bounded circuit stage and,
-// optionally, a content-addressed outcome cache. It is safe for concurrent
-// use after construction, and so are its WithParams views.
+// programBudget bounds the bytes of compiled programs the program stage
+// retains (as sized by programBytes). Every paper-grid program is at most
+// 1.9 MiB. A program over the budget, such as QFT@512 on Mod2:G2x7, is
+// shared by the points waiting on its compile but never kept.
+const programBudget = 8 << 20
+
+// Toolflow executes design points through three stages: a bounded circuit
+// stage, a bounded program stage and, optionally, a content-addressed
+// outcome cache. It is safe for concurrent use after construction, and so
+// are its WithParams views.
 type Toolflow struct {
 	base models.Params
 	// baseHash content-addresses the physical parameters once (with Gate
@@ -88,14 +104,49 @@ type Toolflow struct {
 	// circuits memoizes built benchmark circuits by app name. A circuit
 	// does not depend on the calibration, so every view shares it.
 	circuits *cache.Cache[*circuit.Circuit]
+	// programs memoizes compiled programs by programKey. Neither the gate
+	// implementation nor the calibration enters the compiler, so every
+	// gate of a design and every view shares one compile. A program is
+	// immutable once compiled, and concurrent simulations share it.
+	programs *cache.Cache[*isa.Program]
 }
 
 // New returns a toolflow whose physical parameters default to base (the
 // per-point gate implementation overrides base.Gate), with its own
-// bounded circuit stage. Every design point is computed from scratch; use
-// NewCached or NewWithCache to reuse outcomes across sweeps.
+// bounded circuit and program stages. Every design point is simulated
+// from scratch; use NewCached or NewWithCache to reuse outcomes across
+// sweeps.
 func New(base models.Params) *Toolflow {
-	return &Toolflow{base: base, baseHash: paramsHash(base), circuits: cache.New[*circuit.Circuit](maxCircuits)}
+	return newWithProgramBudget(base, programBudget)
+}
+
+// newWithProgramBudget is New with the program stage's byte budget given.
+// The stage holds at most max(2, GOMAXPROCS) programs: a sweep in grid
+// order needs two at a time (its GS and IS programs alternate), and each
+// worker compiling concurrently needs one.
+func newWithProgramBudget(base models.Params, maxBytes int64) *Toolflow {
+	return &Toolflow{
+		base:     base,
+		baseHash: paramsHash(base),
+		circuits: cache.New[*circuit.Circuit](maxCircuits),
+		programs: cache.NewBudget(max(2, runtime.GOMAXPROCS(0)), maxBytes, programBytes),
+	}
+}
+
+// programBytes estimates a compiled program's retained size: its op array
+// plus the Qubits and Deps elements each op references.
+func programBytes(p *isa.Program) int64 {
+	n := int64(len(p.Ops)) * int64(unsafe.Sizeof(isa.Op{}))
+	for i := range p.Ops {
+		n += 8 * int64(len(p.Ops[i].Qubits)+len(p.Ops[i].Deps))
+	}
+	return n
+}
+
+// programKey names the compiler's inputs for pt: exactly the fields that
+// reach compiler.Compile, each quoted so no two input tuples share a key.
+func programKey(pt Point) string {
+	return fmt.Sprintf("%q %q %d %d %q", pt.App, pt.Topology, pt.Capacity, pt.Reorder, string(pt.Policy))
 }
 
 // NewCached returns a toolflow backed by a fresh outcome cache holding at
@@ -116,9 +167,9 @@ func NewWithCache(base models.Params, c cache.Tier[Outcome]) *Toolflow {
 }
 
 // WithParams returns a view of the toolflow under the calibration p. The
-// view shares the receiver's circuit stage and outcome tier, and outcomes
-// it computes are keyed under p; the receiver itself is returned when p
-// is its own calibration.
+// view shares the receiver's circuit stage, program stage and outcome
+// tier, and outcomes it computes are keyed under p; the receiver itself is
+// returned when p is its own calibration.
 func (tf *Toolflow) WithParams(p models.Params) *Toolflow {
 	if p == tf.base {
 		return tf
@@ -169,7 +220,8 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 	return o, hit
 }
 
-// compute executes the point uncached: build device, compile, simulate.
+// compute simulates the point without the outcome tier: build device,
+// then compile (or reuse the stage's program), then simulate.
 func (tf *Toolflow) compute(pt Point) Outcome {
 	c, err, _ := tf.circuits.Do(pt.App, func() (*circuit.Circuit, error) { return apps.ByName(pt.App) })
 	if err != nil {
@@ -179,10 +231,12 @@ func (tf *Toolflow) compute(pt Point) Outcome {
 	if err != nil {
 		return Outcome{Point: pt, Err: err}
 	}
-	opts := compiler.DefaultOptions()
-	opts.Reorder = pt.Reorder
-	opts.Policy = pt.Policy
-	prog, err := compiler.Compile(c, dev, opts)
+	prog, err, _ := tf.programs.Do(programKey(pt), func() (*isa.Program, error) {
+		opts := compiler.DefaultOptions()
+		opts.Reorder = pt.Reorder
+		opts.Policy = pt.Policy
+		return compiler.Compile(c, dev, opts)
+	})
 	if err != nil {
 		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, err)}
 	}
@@ -227,9 +281,10 @@ type Row struct {
 // and calls emit once per index, in increasing order, from the calling
 // goroutine. At most workers points compute at once, and the feeder stays
 // within workers+ahead indices of the next row to emit, so ahead bounds
-// how many finished rows may wait behind a slow one. Once emit returns
-// false or ctx ends no further index is fed; Stream returns only after
-// every worker has exited. at must be safe for concurrent use.
+// how many finished rows may wait behind a slow one. Workers start points
+// in index order. Once emit returns false or ctx ends no further index is
+// fed; Stream returns only after every worker has exited. at must be safe
+// for concurrent use.
 func (tf *Toolflow) Stream(ctx context.Context, start, end int64, workers, ahead int,
 	at func(int64) Point, emit func(Row) bool) {
 	n := end - start
@@ -245,13 +300,21 @@ func (tf *Toolflow) Stream(ctx context.Context, start, end int64, workers, ahead
 	for k := range slots {
 		slots[k] = make(chan Row, 1)
 	}
-	work := make(chan int64)
+	// The feeder hands out turns, not indices: a worker takes the next
+	// index only once it runs, so points start in index order even when
+	// the scheduler runs the workers it woke in another order. The program
+	// stage relies on it: it holds only the few programs consecutive
+	// points share.
+	work := make(chan struct{})
+	var taken atomic.Int64
+	taken.Store(start)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
+			for range work {
+				i := taken.Add(1) - 1
 				pt := at(i)
 				t0 := time.Now()
 				o, cached := tf.Do(pt)
@@ -269,7 +332,7 @@ func (tf *Toolflow) Stream(ctx context.Context, start, end int64, workers, ahead
 			feed = nil
 		}
 		select {
-		case feed <- fed:
+		case feed <- struct{}{}:
 			fed++
 		case r := <-slots[(next-start)%window]:
 			if !emit(r) {

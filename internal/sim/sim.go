@@ -29,6 +29,8 @@ import (
 )
 
 // Run simulates program p on device d under physical parameters params.
+// It never mutates p: all run state lives in a per-call engine, so one
+// compiled program may be simulated by concurrent Run calls.
 func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
