@@ -231,18 +231,10 @@ func (d *Disk) dropCorrupt(path string) {
 // past the byte budget triggers a cooperative eviction sweep.
 func (d *Disk) Write(key string, payload []byte) {
 	p := d.path(key)
-	shard := filepath.Dir(p)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		d.count(func(s *DiskStats) { s.WriteErrors++ })
-		return
-	}
 	sum := sha256.Sum256(payload)
 	header := fmt.Sprintf("%s %s %s %d\n", diskMagic, filepath.Base(p), hex.EncodeToString(sum[:]), len(payload))
 
-	// CreateTemp's O_EXCL unique name is the cross-process safety: two
-	// replicas writing the same key never touch the same temp file, and
-	// whichever renames last wins with byte-identical content.
-	f, err := os.CreateTemp(shard, tempPrefix+"*")
+	f, err := createTemp(filepath.Dir(p))
 	if err != nil {
 		d.count(func(s *DiskStats) { s.WriteErrors++ })
 		return
@@ -286,6 +278,26 @@ func (d *Disk) Write(key string, payload []byte) {
 	if over {
 		d.evict()
 	}
+}
+
+// createTemp opens a fresh temp file in a shard directory. The directory
+// itself records that the shard exists: only a create that fails because
+// it is missing (the shard's first write, or a shard removed from outside)
+// makes it, then retries once, so a write to an existing shard costs no
+// extra system call.
+//
+// CreateTemp's O_EXCL unique name is the cross-process safety: two
+// replicas writing the same key never touch the same temp file, and
+// whichever renames last wins with byte-identical content.
+func createTemp(shard string) (*os.File, error) {
+	f, err := os.CreateTemp(shard, tempPrefix+"*")
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		return nil, err
+	}
+	return os.CreateTemp(shard, tempPrefix+"*")
 }
 
 // count applies a counter update under the lock.

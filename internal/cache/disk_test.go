@@ -298,3 +298,30 @@ func TestOpenDiskRejectsEmptyDir(t *testing.T) {
 		t.Fatal("empty dir must be rejected")
 	}
 }
+
+// TestDiskRecreatesRemovedShard removes a shard directory from outside
+// between two writes to it: the second write must re-create the shard and
+// land, not count a write error.
+func TestDiskRecreatesRemovedShard(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := diskKey("shard-a"), diskKey("shard-b")
+	// Both keys must share a shard; pick a second key that does.
+	for i := 0; second[:2] != first[:2]; i++ {
+		second = diskKey(fmt.Sprintf("shard-b%d", i))
+	}
+	d.Write(first, []byte("one"))
+	if err := os.RemoveAll(filepath.Join(dir, first[:2])); err != nil {
+		t.Fatal(err)
+	}
+	d.Write(second, []byte("two"))
+	if got, ok := d.Read(second); !ok || string(got) != "two" {
+		t.Fatalf("read after shard removal = %q, %v", got, ok)
+	}
+	if st := d.Stats(); st.WriteErrors != 0 || st.Writes != 2 {
+		t.Errorf("stats = %+v, want 2 writes and no write errors", st)
+	}
+}

@@ -20,10 +20,9 @@
 //
 // The hot paths are index-based: chains are fixed-capacity ring buffers
 // with an incremental qubit→slot index, so qubit positions, end
-// insertions and end removals are O(1) instead of copying slices, and op
-// dependency sets are deduplicated through a three-entry scratch instead
-// of a per-op map. Qubit and dependency slices are carved from chunked
-// arenas, so emitting an op costs amortized zero allocations.
+// insertions and end removals are O(1) instead of copying slices, and an
+// op's operands and dependencies live inline in the fixed-size isa.Op, so
+// emitting an op allocates nothing beyond the op array's growth.
 //
 // The three decision heuristics — gate issue order, initial placement,
 // and shuttle routing/eviction — are policy seams (see policy.go): the
@@ -34,6 +33,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -125,6 +125,7 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 		InitialLayout: cc.initialLayout,
 		Ops:           cc.ops,
 	}
+	prog.Link()
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: produced invalid program: %w", err)
 	}
@@ -170,43 +171,17 @@ type compilation struct {
 	initialLayout [][]int
 
 	ops           []isa.Op
-	lastOfQubit   []int // qubit -> last op ID touching it (-1 none)
-	lastStructure []int // trap -> last structural op ID (-1 none)
+	lastOfQubit   []int32 // qubit -> last op ID touching it (-1 none)
+	lastStructure []int32 // trap -> last structural op ID (-1 none)
 
 	useLists  [][]int // qubit -> sorted gate indices of its IR gates
 	useCounts []int   // qubit -> IR gates already emitted (cursor into useLists)
-
-	intArena []int // chunked backing store for op Qubits/Deps slices
 }
 
-// arenaInts carves an n-int slice from the chunked arena. Returned slices
-// have cap == len, so appends by callers can never alias a neighbor.
-func (cc *compilation) arenaInts(n int) []int {
-	const chunk = 4096
-	if len(cc.intArena)+n > cap(cc.intArena) {
-		size := chunk
-		if n > size {
-			size = n
-		}
-		cc.intArena = make([]int, 0, size)
-	}
-	s := cc.intArena[len(cc.intArena) : len(cc.intArena)+n : len(cc.intArena)+n]
-	cc.intArena = cc.intArena[:len(cc.intArena)+n]
-	return s
-}
+// qubits1 and qubits2 build an op's inline operand pair.
+func qubits1(q int) [2]int32 { return [2]int32{int32(q)} }
 
-// qubits1 and qubits2 build arena-backed operand slices.
-func (cc *compilation) qubits1(q int) []int {
-	s := cc.arenaInts(1)
-	s[0] = q
-	return s
-}
-
-func (cc *compilation) qubits2(a, b int) []int {
-	s := cc.arenaInts(2)
-	s[0], s[1] = a, b
-	return s
-}
+func qubits2(a, b int) [2]int32 { return [2]int32{int32(a), int32(b)} }
 
 // mapQubits asks the placement policy for the initial qubit→trap layout,
 // validates it (every program qubit exactly once, no chain over capacity),
@@ -265,11 +240,11 @@ func (cc *compilation) mapQubits(place PlacementPolicy) error {
 		}
 		cc.initialLayout[t] = layout
 	}
-	cc.lastOfQubit = make([]int, c.NumQubits)
+	cc.lastOfQubit = make([]int32, c.NumQubits)
 	for i := range cc.lastOfQubit {
 		cc.lastOfQubit[i] = -1
 	}
-	cc.lastStructure = make([]int, d.NumTraps())
+	cc.lastStructure = make([]int32, d.NumTraps())
 	for i := range cc.lastStructure {
 		cc.lastStructure[i] = -1
 	}
@@ -324,14 +299,14 @@ func (cc *compilation) run() error {
 		case g.Kind == circuit.GateMeasure:
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpMeasure, Qubits: cc.qubits1(q), Trap: cc.trapOf[q],
-				Gate: g.Kind, GateIndex: gi,
+				Kind: isa.OpMeasure, Q: qubits1(q), Resource: int32(cc.trapOf[q]),
+				Gate: g.Kind, GateIndex: int32(gi),
 			}, false)
 		case g.Kind.IsSingleQubit():
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpGate1, Qubits: cc.qubits1(q), Trap: cc.trapOf[q],
-				Gate: g.Kind, Param: g.Param, GateIndex: gi,
+				Kind: isa.OpGate1, Q: qubits1(q), Resource: int32(cc.trapOf[q]),
+				Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
 			}, false)
 		case g.Kind.IsTwoQubit():
 			if err := cc.twoQubit(gi, g); err != nil {
@@ -363,8 +338,8 @@ func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 		}
 	}
 	cc.addOp(isa.Op{
-		Kind: isa.OpGate2, Qubits: cc.qubits2(a, b), Trap: cc.trapOf[a],
-		Gate: g.Kind, Param: g.Param, GateIndex: gi,
+		Kind: isa.OpGate2, Q: qubits2(a, b), Resource: int32(cc.trapOf[a]),
+		Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
 	}, false)
 	return nil
 }
@@ -416,7 +391,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 
 	cc.reorderToEnd(q, src, route.SrcEnd, gi)
 	cc.addOp(isa.Op{
-		Kind: isa.OpSplit, Qubits: cc.qubits1(q), Trap: src, End: route.SrcEnd, GateIndex: gi,
+		Kind: isa.OpSplit, Q: qubits1(q), Resource: int32(src), End: route.SrcEnd, GateIndex: int32(gi),
 	}, true)
 	cc.removeFromChain(q, src)
 
@@ -429,13 +404,13 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			moveKind = isa.OpLinkTransit
 		}
 		cc.addOp(isa.Op{
-			Kind: moveKind, Qubits: cc.qubits1(q), Trap: -1, Segment: hop.Segment, GateIndex: gi,
+			Kind: moveKind, Q: qubits1(q), Resource: int32(hop.Segment), GateIndex: int32(gi),
 		}, false)
 		switch hop.Node.Kind {
 		case device.NodeJunction:
 			cc.addOp(isa.Op{
-				Kind: isa.OpJunctionCross, Qubits: cc.qubits1(q), Trap: -1,
-				Junction: hop.Node.Index, GateIndex: gi,
+				Kind: isa.OpJunctionCross, Q: qubits1(q),
+				Resource: int32(hop.Node.Index), GateIndex: int32(gi),
 			}, false)
 		case device.NodeTrap:
 			t := hop.Node.Index
@@ -445,7 +420,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				}
 			}
 			cc.addOp(isa.Op{
-				Kind: isa.OpMerge, Qubits: cc.qubits1(q), Trap: t, End: hop.EnterEnd, GateIndex: gi,
+				Kind: isa.OpMerge, Q: qubits1(q), Resource: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
 			}, true)
 			cc.insertIntoChain(q, t, hop.EnterEnd)
 			if t != dst {
@@ -454,7 +429,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				exit := hop.EnterEnd.Opposite()
 				cc.reorderToEnd(q, t, exit, gi)
 				cc.addOp(isa.Op{
-					Kind: isa.OpSplit, Qubits: cc.qubits1(q), Trap: t, End: exit, GateIndex: gi,
+					Kind: isa.OpSplit, Q: qubits1(q), Resource: int32(t), End: exit, GateIndex: int32(gi),
 				}, true)
 				cc.removeFromChain(q, t)
 			}
@@ -523,7 +498,7 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 	case models.GS:
 		other := ch.at(target)
 		cc.addOp(isa.Op{
-			Kind: isa.OpSwapGS, Qubits: cc.qubits2(q, other), Trap: t, GateIndex: gi,
+			Kind: isa.OpSwapGS, Q: qubits2(q, other), Resource: int32(t), GateIndex: int32(gi),
 		}, true)
 		cc.swapInChain(t, q, other)
 	case models.IS:
@@ -534,7 +509,7 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 		for p := pos; p != target; p += step {
 			neighbor := ch.at(p + step)
 			cc.addOp(isa.Op{
-				Kind: isa.OpIonSwap, Qubits: cc.qubits2(q, neighbor), Trap: t, GateIndex: gi,
+				Kind: isa.OpIonSwap, Q: qubits2(q, neighbor), Resource: int32(t), GateIndex: int32(gi),
 			}, true)
 			cc.swapInChain(t, q, neighbor)
 		}
@@ -588,63 +563,43 @@ func (cc *compilation) insertIntoChain(q, t int, end device.End) {
 	cc.qSlot[q] = slot
 }
 
-// addOp finalizes an op: assigns its ID, derives its dependencies, updates
-// the per-qubit and per-trap bookkeeping, and appends it.
+// addOp finalizes an op: derives its dependencies, updates the per-qubit
+// and per-trap bookkeeping, and appends it. Its ID is its index.
 //
-// An op has at most three dependency sources (two operand qubits plus its
-// trap's structural predecessor), so dedup runs over a three-entry
-// scratch and emits an already-sorted arena-backed slice — no map, no
-// per-op allocation.
-func (cc *compilation) addOp(op isa.Op, structural bool) int {
-	id := len(cc.ops)
-	op.ID = id
-	if op.Kind != isa.OpMove && op.Kind != isa.OpLinkTransit {
-		op.Segment = -1
-	}
-	if op.Kind != isa.OpJunctionCross {
-		op.Junction = -1
-	}
-	var scratch [3]int
-	nd := 0
-	addDep := func(d int) {
-		if d < 0 {
+// An op has at most isa.MaxDeps dependency sources (two operand qubits
+// plus its trap's structural predecessor), so dedup and sorting run in
+// place over the op's inline dep array: no map, no allocation.
+func (cc *compilation) addOp(op isa.Op, structural bool) {
+	id := int32(len(cc.ops))
+	addDep := func(d int32) {
+		if d < 0 || slices.Contains(op.Deps(), d) {
 			return
 		}
-		for i := 0; i < nd; i++ {
-			if scratch[i] == d {
-				return
-			}
-		}
-		scratch[nd] = d
-		nd++
+		op.Dep[op.NDep] = d
+		op.NDep++
 	}
-	for _, q := range op.Qubits {
+	for _, q := range op.Qubits() {
 		addDep(cc.lastOfQubit[q])
 	}
 	if structural {
-		addDep(cc.lastStructure[op.Trap])
+		addDep(cc.lastStructure[op.Resource])
 	}
-	if nd > 0 {
-		// Insertion sort over at most three entries.
-		for i := 1; i < nd; i++ {
-			for j := i; j > 0 && scratch[j] < scratch[j-1]; j-- {
-				scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
-			}
+	// Insertion sort over at most three entries.
+	for i := 1; i < int(op.NDep); i++ {
+		for j := i; j > 0 && op.Dep[j] < op.Dep[j-1]; j-- {
+			op.Dep[j], op.Dep[j-1] = op.Dep[j-1], op.Dep[j]
 		}
-		op.Deps = cc.arenaInts(nd)
-		copy(op.Deps, scratch[:nd])
 	}
-	for _, q := range op.Qubits {
+	for _, q := range op.Qubits() {
 		cc.lastOfQubit[q] = id
 	}
 	if structural {
-		cc.lastStructure[op.Trap] = id
+		cc.lastStructure[op.Resource] = id
 	}
 	if op.Kind.Category() == isa.CatCompute && op.GateIndex >= 0 {
-		for _, q := range op.Qubits {
+		for _, q := range op.Qubits() {
 			cc.useCounts[q]++
 		}
 	}
 	cc.ops = append(cc.ops, op)
-	return id
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -54,57 +55,58 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 		}
 		return -1
 	}
-	for _, op := range p.Ops {
+	for id, op := range p.Ops {
+		trap := int(op.Resource)
 		switch op.Kind {
 		case isa.OpSplit:
-			q := op.Qubits[0]
-			chain := chains[op.Trap]
+			q := int(op.Q[0])
+			chain := chains[trap]
 			want := 0
 			if op.End == device.Right {
 				want = len(chain) - 1
 			}
-			if pos(q, op.Trap) != want {
-				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", op.ID, q, op.End, op.Trap, chain)
+			if pos(q, trap) != want {
+				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", id, q, op.End, trap, chain)
 			}
 			if op.End == device.Left {
-				chains[op.Trap] = chain[1:]
+				chains[trap] = chain[1:]
 			} else {
-				chains[op.Trap] = chain[:len(chain)-1]
+				chains[trap] = chain[:len(chain)-1]
 			}
 			delete(trapOf, q)
 		case isa.OpMerge:
-			q := op.Qubits[0]
-			if len(chains[op.Trap]) >= d.Capacity {
-				t.Fatalf("op %d: merge overflows trap %d (cap %d)", op.ID, op.Trap, d.Capacity)
+			q := int(op.Q[0])
+			if len(chains[trap]) >= d.Capacity {
+				t.Fatalf("op %d: merge overflows trap %d (cap %d)", id, trap, d.Capacity)
 			}
 			if op.End == device.Left {
-				chains[op.Trap] = append([]int{q}, chains[op.Trap]...)
+				chains[trap] = append([]int{q}, chains[trap]...)
 			} else {
-				chains[op.Trap] = append(append([]int(nil), chains[op.Trap]...), q)
+				chains[trap] = append(append([]int(nil), chains[trap]...), q)
 			}
-			trapOf[q] = op.Trap
+			trapOf[q] = trap
 		case isa.OpSwapGS:
-			a, b := op.Qubits[0], op.Qubits[1]
-			pa, pb := pos(a, op.Trap), pos(b, op.Trap)
+			a, b := int(op.Q[0]), int(op.Q[1])
+			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 {
-				t.Fatalf("op %d: swapgs operands not co-located in T%d", op.ID, op.Trap)
+				t.Fatalf("op %d: swapgs operands not co-located in T%d", id, trap)
 			}
-			chains[op.Trap][pa], chains[op.Trap][pb] = chains[op.Trap][pb], chains[op.Trap][pa]
+			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpIonSwap:
-			a, b := op.Qubits[0], op.Qubits[1]
-			pa, pb := pos(a, op.Trap), pos(b, op.Trap)
+			a, b := int(op.Q[0]), int(op.Q[1])
+			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 || pa-pb != 1 && pb-pa != 1 {
-				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", op.ID, pa, pb, op.Trap)
+				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", id, pa, pb, trap)
 			}
-			chains[op.Trap][pa], chains[op.Trap][pb] = chains[op.Trap][pb], chains[op.Trap][pa]
+			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpGate2:
-			a, b := op.Qubits[0], op.Qubits[1]
-			if trapOf[a] != op.Trap || trapOf[b] != op.Trap {
-				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", op.ID, a, b, op.Trap)
+			a, b := int(op.Q[0]), int(op.Q[1])
+			if trapOf[a] != trap || trapOf[b] != trap {
+				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", id, a, b, trap)
 			}
 		case isa.OpGate1, isa.OpMeasure:
-			if trapOf[op.Qubits[0]] != op.Trap {
-				t.Fatalf("op %d: %s qubit not in trap %d", op.ID, op.Kind, op.Trap)
+			if trapOf[int(op.Q[0])] != trap {
+				t.Fatalf("op %d: %s qubit not in trap %d", id, op.Kind, trap)
 			}
 		}
 	}
@@ -402,4 +404,48 @@ func TestCompileOnRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayStructure(t, p, d)
+}
+
+// TestChildCSRInvertsDeps checks, on programs compiled for every example
+// spec of every registered topology family under both reorder methods,
+// that the program's child CSR lists exactly the ops depending on each op,
+// in ascending order.
+func TestChildCSRInvertsDeps(t *testing.T) {
+	for _, fam := range device.Families() {
+		for _, spec := range fam.Examples {
+			d, err := device.Parse(spec, 22)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, app := range []string{"QFT@48", "Surface@3", "Supremacy"} {
+				c, err := apps.ByName(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, reorder := range models.ReorderMethods() {
+					opts := DefaultOptions()
+					opts.Reorder = reorder
+					p, err := Compile(c, d, opts)
+					if err != nil {
+						t.Fatalf("%s on %s (%s): %v", app, spec, reorder, err)
+					}
+					want := make([][]int32, len(p.Ops))
+					for i := range p.Ops {
+						for _, dep := range p.Ops[i].Deps() {
+							want[dep] = append(want[dep], int32(i))
+						}
+					}
+					if len(p.ChildOff) != len(p.Ops)+1 {
+						t.Fatalf("%s on %s (%s): %d child offsets for %d ops", app, spec, reorder, len(p.ChildOff), len(p.Ops))
+					}
+					for i := range p.Ops {
+						got := p.Children[p.ChildOff[i]:p.ChildOff[i+1]]
+						if !slices.Equal(got, want[i]) || !slices.IsSorted(got) {
+							t.Fatalf("%s on %s (%s): children of op %d = %v, want %v", app, spec, reorder, i, got, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
 }

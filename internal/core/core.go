@@ -84,7 +84,10 @@ const maxCircuits = 32
 
 // programBudget bounds the bytes of compiled programs the program stage
 // retains (as sized by programBytes). Every paper-grid program is at most
-// 1.9 MiB. A program over the budget, such as QFT@512 on Mod2:G2x7, is
+// 0.70 MiB (SquareRoot on L6 at capacity 14 with IS). Of the scale points,
+// QAOA@512 on G3x9 (1.2 MiB) and Supremacy@256 on M3x5 (1.5 MiB) fit;
+// QFT@512 on Mod2:G2x7 (37.7 MiB), Surface@21 on G2x23 (43.9 MiB) and
+// QFT@1024 on Mod4:G2x8 (177.4 MiB) do not. A program over the budget is
 // shared by the points waiting on its compile but never kept.
 const programBudget = 8 << 20
 
@@ -133,14 +136,10 @@ func newWithProgramBudget(base models.Params, maxBytes int64) *Toolflow {
 	}
 }
 
-// programBytes estimates a compiled program's retained size: its op array
-// plus the Qubits and Deps elements each op references.
+// programBytes estimates a compiled program's retained size: its flat op
+// array plus the two int32 arrays of its child CSR.
 func programBytes(p *isa.Program) int64 {
-	n := int64(len(p.Ops)) * int64(unsafe.Sizeof(isa.Op{}))
-	for i := range p.Ops {
-		n += 8 * int64(len(p.Ops[i].Qubits)+len(p.Ops[i].Deps))
-	}
-	return n
+	return int64(len(p.Ops))*int64(unsafe.Sizeof(isa.Op{})) + 4*int64(len(p.ChildOff)+len(p.Children))
 }
 
 // programKey names the compiler's inputs for pt: exactly the fields that

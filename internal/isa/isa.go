@@ -8,6 +8,8 @@ package isa
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/circuit"
@@ -98,42 +100,107 @@ func (k OpKind) Category() Category {
 	}
 }
 
-// Op is one primitive instruction. Unused resource fields hold -1.
-type Op struct {
-	// ID is the op's index in Program.Ops; also its scheduling priority.
-	ID int
-	// Kind selects the primitive.
-	Kind OpKind
-	// Qubits are the program qubits involved (two for gate2/swap kinds).
-	Qubits []int
-	// Trap is the trap operated on, for all kinds except move/junction.
-	Trap int
-	// Segment is the segment traversed by a move.
-	Segment int
-	// Junction is the junction crossed by a junction-cross.
-	Junction int
-	// End is the chain end for split/merge.
-	End device.End
-	// Gate carries the original IR gate kind for gate1/gate2/measure.
-	Gate circuit.Kind
-	// Param is the IR gate parameter.
-	Param float64
-	// GateIndex is the IR gate index this op realizes, or -1 for
-	// compiler-inserted communication ops.
-	GateIndex int
-	// Deps lists op IDs that must complete before this op starts. All
-	// deps reference earlier IDs.
-	Deps []int
+// MaxDeps is the most dependencies one op can carry: the previous op on
+// each of its (at most two) qubits plus its trap's previous structural op.
+const MaxDeps = 3
+
+// Arity returns the number of program qubits an op of kind k acts on: two
+// for gate2 and the two swap kinds, one for every other kind.
+func (k OpKind) Arity() int {
+	switch k {
+	case OpGate2, OpSwapGS, OpIonSwap:
+		return 2
+	default:
+		return 1
+	}
 }
 
-// String renders one op, e.g. "12: gate2 cx q5,q9 @T2 <- [10 11]".
+// ResourceClass is the class of device resource an op holds, and so what
+// its Resource field indexes.
+type ResourceClass uint8
+
+const (
+	// ResTrap is a trap; every kind but move, link transit and
+	// junction-cross holds one.
+	ResTrap ResourceClass = iota
+	// ResSegment is a shuttling segment, held by a move or link transit.
+	ResSegment
+	// ResJunction is a junction, held by a junction-cross.
+	ResJunction
+)
+
+var resourceClassNames = [...]string{ResTrap: "trap", ResSegment: "segment", ResJunction: "junction"}
+
+// resourcePrefixes label one resource of each class, as in "T2", "s5", "J1".
+var resourcePrefixes = [...]string{ResTrap: "T", ResSegment: "s", ResJunction: "J"}
+
+// String returns "trap", "segment" or "junction".
+func (c ResourceClass) String() string { return resourceClassNames[c] }
+
+// ResourceClass returns the class of device resource an op of kind k holds.
+func (k OpKind) ResourceClass() ResourceClass {
+	switch k {
+	case OpMove, OpLinkTransit:
+		return ResSegment
+	case OpJunctionCross:
+		return ResJunction
+	default:
+		return ResTrap
+	}
+}
+
+// Op is one primitive instruction: a fixed-size value holding no pointer,
+// so a program's op array is one flat allocation the garbage collector
+// never scans. An op's ID is its index in Program.Ops; it is also the op's
+// scheduling priority.
+type Op struct {
+	// Param is the IR gate parameter.
+	Param float64
+	// Q holds the program qubits involved; the first Kind.Arity() entries
+	// are meaningful.
+	Q [2]int32
+	// Dep holds, in its first NDep entries, the IDs of the ops that must
+	// complete before this op starts: ascending, and all earlier than the
+	// op itself.
+	Dep [MaxDeps]int32
+	// Resource is the op's one device resource: the segment traversed by a
+	// move or link transit, the junction crossed by a junction-cross, and
+	// the trap operated on for every other kind.
+	Resource int32
+	// GateIndex is the IR gate index this op realizes, or -1 for
+	// compiler-inserted communication ops.
+	GateIndex int32
+	// Kind selects the primitive.
+	Kind OpKind
+	// Gate carries the original IR gate kind for gate1/gate2/measure.
+	Gate circuit.Kind
+	// End is the chain end for split/merge.
+	End device.End
+	// NDep is the number of entries of Dep in use.
+	NDep uint8
+}
+
+// Qubits returns the op's operand qubits, aliasing o.Q.
+func (o *Op) Qubits() []int32 { return o.Q[:o.Kind.Arity()] }
+
+// Deps returns the op's dependencies, aliasing o.Dep. It panics when NDep
+// exceeds MaxDeps, which Validate rejects.
+func (o *Op) Deps() []int32 { return o.Dep[:o.NDep] }
+
+// ResourceName renders the op's resource, e.g. "T2", "s5" or "J1".
+func (o *Op) ResourceName() string {
+	return fmt.Sprintf("%s%d", resourcePrefixes[o.Kind.ResourceClass()], o.Resource)
+}
+
+// String renders one op, e.g. "gate2 cx q5,q9 @T2 <- [10 11]". The op's
+// ID is its position in the program, so Program.String prefixes it.
 func (o Op) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d: %s", o.ID, o.Kind)
-	if o.Kind == OpGate1 || o.Kind == OpGate2 || o.Kind == OpMeasure {
+	b.WriteString(o.Kind.String())
+	if o.Kind.Category() == CatCompute {
 		fmt.Fprintf(&b, " %s", o.Gate)
 	}
-	for i, q := range o.Qubits {
+	for i, q := range o.Qubits() {
 		if i == 0 {
 			b.WriteByte(' ')
 		} else {
@@ -141,23 +208,19 @@ func (o Op) String() string {
 		}
 		fmt.Fprintf(&b, "q%d", q)
 	}
-	switch {
-	case o.Kind == OpMove || o.Kind == OpLinkTransit:
-		fmt.Fprintf(&b, " @s%d", o.Segment)
-	case o.Kind == OpJunctionCross:
-		fmt.Fprintf(&b, " @J%d", o.Junction)
-	case o.Kind == OpSplit || o.Kind == OpMerge:
-		fmt.Fprintf(&b, " @T%d.%s", o.Trap, o.End)
-	default:
-		fmt.Fprintf(&b, " @T%d", o.Trap)
+	fmt.Fprintf(&b, " @%s", o.ResourceName())
+	if o.Kind == OpSplit || o.Kind == OpMerge {
+		fmt.Fprintf(&b, ".%s", o.End)
 	}
-	if len(o.Deps) > 0 {
-		fmt.Fprintf(&b, " <- %v", o.Deps)
+	if o.NDep > 0 && o.NDep <= MaxDeps {
+		fmt.Fprintf(&b, " <- %v", o.Deps())
 	}
 	return b.String()
 }
 
-// Program is a compiled executable for one circuit on one device.
+// Program is a compiled executable for one circuit on one device. Its op
+// storage is flat and pointer-free: the op array plus the child CSR, two
+// int32 arrays.
 type Program struct {
 	// Name is the source circuit name.
 	Name string
@@ -170,13 +233,61 @@ type Program struct {
 	InitialLayout [][]int
 	// Ops is the instruction list in compile order.
 	Ops []Op
+	// ChildOff and Children invert the ops' deps in CSR form: the ops that
+	// depend on op i are Children[ChildOff[i]:ChildOff[i+1]], ascending.
+	// Link builds them and Validate checks them.
+	ChildOff []int32
+	Children []int32
+}
+
+// Link builds the program's child CSR from its ops' deps. The compiler
+// calls it once per program; a hand-built program calls it after its last
+// op is in place. Deps that do not name an earlier op are left out, so
+// Validate reports them as deps rather than Link failing on them.
+func (p *Program) Link() {
+	n := len(p.Ops)
+	off := make([]int32, n+1)
+	for i := range p.Ops {
+		for _, d := range p.linkDeps(i) {
+			off[d+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	children := make([]int32, off[n])
+	// off[d] serves as op d's fill cursor, which leaves it at op d's end,
+	// that is op d+1's start; one shift restores the starts. Filling in
+	// op order keeps every child list ascending.
+	for i := range p.Ops {
+		for _, d := range p.linkDeps(i) {
+			children[off[d]] = int32(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	p.ChildOff, p.Children = off, children
+}
+
+// linkDeps returns op i's deps as Link reads them: at most MaxDeps, and
+// empty once any of them does not name an earlier op.
+func (p *Program) linkDeps(i int) []int32 {
+	op := &p.Ops[i]
+	deps := op.Dep[:min(int(op.NDep), MaxDeps)]
+	for _, d := range deps {
+		if d < 0 || int(d) >= i {
+			return nil
+		}
+	}
+	return deps
 }
 
 // CountKind returns the number of ops of kind k.
 func (p *Program) CountKind(k OpKind) int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind == k {
+	for i := range p.Ops {
+		if p.Ops[i].Kind == k {
 			n++
 		}
 	}
@@ -186,8 +297,8 @@ func (p *Program) CountKind(k OpKind) int {
 // CommOps returns the number of communication-category ops.
 func (p *Program) CommOps() int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind.Category() == CatComm {
+	for i := range p.Ops {
+		if p.Ops[i].Kind.Category() == CatComm {
 			n++
 		}
 	}
@@ -195,8 +306,9 @@ func (p *Program) CommOps() int {
 }
 
 // Validate checks structural well-formedness: dependency ordering, qubit
-// ranges, layout consistency (each qubit placed exactly once) and
-// kind-specific operand/resource fields.
+// ranges, layout consistency (each qubit placed exactly once), each op's
+// resource, and that the child CSR is exactly the inverse of the deps.
+// It allocates only the layout check's per-qubit flags.
 func (p *Program) Validate() error {
 	placed := make([]bool, p.NumQubits)
 	nPlaced := 0
@@ -215,41 +327,72 @@ func (p *Program) Validate() error {
 	if nPlaced != p.NumQubits {
 		return fmt.Errorf("isa: layout places %d of %d qubits", nPlaced, p.NumQubits)
 	}
-	for i, op := range p.Ops {
-		if op.ID != i {
-			return fmt.Errorf("isa: op %d has ID %d", i, op.ID)
+	if err := p.validateChildLists(); err != nil {
+		return err
+	}
+	// Every dep must find its op among its parent's children. The child
+	// lists ascend strictly, so each is a set holding at least the true
+	// children; equal totals then make every list exact.
+	nDeps := 0
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if op.NDep > MaxDeps {
+			return fmt.Errorf("isa: op %d has %d deps, at most %d", i, op.NDep, MaxDeps)
 		}
-		for _, d := range op.Deps {
-			if d < 0 || d >= i {
+		prev := int32(-1)
+		for _, d := range op.Deps() {
+			if d < 0 || int(d) >= i {
 				return fmt.Errorf("isa: op %d depends on non-earlier op %d", i, d)
 			}
+			if d <= prev {
+				return fmt.Errorf("isa: op %d deps %v not strictly ascending", i, op.Deps())
+			}
+			prev = d
+			if _, ok := slices.BinarySearch(p.Children[p.ChildOff[d]:p.ChildOff[d+1]], int32(i)); !ok {
+				return fmt.Errorf("isa: op %d depends on op %d but is missing from its children", i, d)
+			}
 		}
-		for _, q := range op.Qubits {
-			if q < 0 || q >= p.NumQubits {
+		nDeps += int(op.NDep)
+		for _, q := range op.Qubits() {
+			if q < 0 || int(q) >= p.NumQubits {
 				return fmt.Errorf("isa: op %d qubit %d out of range", i, q)
 			}
 		}
-		wantQubits := 1
-		switch op.Kind {
-		case OpGate2, OpSwapGS, OpIonSwap:
-			wantQubits = 2
+		if op.Resource < 0 {
+			return fmt.Errorf("isa: op %d (%s) without %s", i, op.Kind, op.Kind.ResourceClass())
 		}
-		if len(op.Qubits) != wantQubits {
-			return fmt.Errorf("isa: op %d (%s) has %d qubits, want %d", i, op.Kind, len(op.Qubits), wantQubits)
+	}
+	if nDeps != len(p.Children) {
+		return fmt.Errorf("isa: %d children listed for %d deps", len(p.Children), nDeps)
+	}
+	return nil
+}
+
+// validateChildLists checks the child CSR's shape: one offset per op plus
+// one, monotone from 0 to len(Children), and each op's children strictly
+// ascending ops later than it.
+func (p *Program) validateChildLists() error {
+	n := len(p.Ops)
+	if n >= math.MaxInt32 {
+		return fmt.Errorf("isa: %d ops exceed the int32 op ID range", n)
+	}
+	if len(p.ChildOff) != n+1 {
+		return fmt.Errorf("isa: program not linked: %d child offsets for %d ops", len(p.ChildOff), n)
+	}
+	if p.ChildOff[0] != 0 || int(p.ChildOff[n]) != len(p.Children) {
+		return fmt.Errorf("isa: child offsets span %d..%d over %d children", p.ChildOff[0], p.ChildOff[n], len(p.Children))
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := p.ChildOff[i], p.ChildOff[i+1]
+		if hi < lo || int(hi) > len(p.Children) {
+			return fmt.Errorf("isa: child offsets of op %d not monotone (%d, %d)", i, lo, hi)
 		}
-		switch op.Kind {
-		case OpMove, OpLinkTransit:
-			if op.Segment < 0 {
-				return fmt.Errorf("isa: op %d %s without segment", i, op.Kind)
+		prev := int32(i)
+		for _, c := range p.Children[lo:hi] {
+			if c <= prev || int(c) >= n {
+				return fmt.Errorf("isa: children of op %d not ascending later ops", i)
 			}
-		case OpJunctionCross:
-			if op.Junction < 0 {
-				return fmt.Errorf("isa: op %d junction-cross without junction", i)
-			}
-		default:
-			if op.Trap < 0 {
-				return fmt.Errorf("isa: op %d (%s) without trap", i, op.Kind)
-			}
+			prev = c
 		}
 	}
 	return nil
@@ -263,8 +406,8 @@ func (p *Program) String() string {
 	for t, chain := range p.InitialLayout {
 		fmt.Fprintf(&b, "  T%d: %v\n", t, chain)
 	}
-	for _, op := range p.Ops {
-		fmt.Fprintf(&b, "  %s\n", op)
+	for i, op := range p.Ops {
+		fmt.Fprintf(&b, "  %d: %s\n", i, op)
 	}
 	return b.String()
 }

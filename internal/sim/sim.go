@@ -32,20 +32,10 @@ import (
 // It never mutates p: all run state lives in a per-call engine, so one
 // compiled program may be simulated by concurrent Run calls.
 func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	e, err := newEngine(p, d, params)
+	if err != nil {
+		return nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := params.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if len(p.InitialLayout) != d.NumTraps() {
-		return nil, fmt.Errorf("sim: program laid out for %d traps, device %s has %d",
-			len(p.InitialLayout), d.Name, d.NumTraps())
-	}
-	e := newEngine(p, d, params)
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -105,9 +95,9 @@ type engine struct {
 
 	resources []resource // traps, then segments, then junctions
 
-	depsLeft  []int32
-	childOff  []int32 // op -> [childOff[i], childOff[i+1]) into childList
-	childList []int32
+	// depsLeft counts each op's unfinished deps; the program's child CSR
+	// names the ops to wake when one completes.
+	depsLeft []int32
 
 	now       float64
 	events    eventQueue
@@ -132,7 +122,23 @@ type engine struct {
 	categoryBusy  [2]float64
 }
 
-func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
+// newEngine checks p, d and params against each other and sizes all run
+// state off the program. It reads the program's child CSR as built by
+// Compile (or Link) and allocates no dependency structure of its own.
+func newEngine(p *isa.Program, d *device.Device, params models.Params) (*engine, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if len(p.InitialLayout) != d.NumTraps() {
+		return nil, fmt.Errorf("sim: program laid out for %d traps, device %s has %d",
+			len(p.InitialLayout), d.Name, d.NumTraps())
+	}
 	nOps := len(p.Ops)
 	e := &engine{
 		prog:       p,
@@ -143,7 +149,6 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 		transitE:   make([]float64, p.NumQubits),
 		tracker:    heating.NewTracker(d.NumTraps()),
 		depsLeft:   make([]int32, nOps),
-		childOff:   make([]int32, nOps+1),
 		startTime:  make([]float64, nOps),
 		endTime:    make([]float64, nOps),
 		readyTime:  make([]float64, nOps),
@@ -167,42 +172,38 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 		c.n = len(p.InitialLayout[t])
 	}
 	e.resources = make([]resource, d.NumTraps()+len(d.Segments)+len(d.Junctions))
-	// Flatten the dependency graph into a counted adjacency list so waking
-	// dependents allocates nothing.
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		e.depsLeft[i] = int32(len(op.Deps))
-		for _, dep := range op.Deps {
-			e.childOff[dep+1]++
+		if _, n := e.resourceSpan(op.Kind); int(op.Resource) >= n {
+			return nil, fmt.Errorf("sim: op %d (%s) names %s, device %s has %d",
+				i, op.Kind, op.ResourceName(), d.Name, n)
 		}
+		e.depsLeft[i] = int32(op.NDep)
 		e.startTime[i] = -1
 		e.endTime[i] = -1
 	}
-	for i := 0; i < nOps; i++ {
-		e.childOff[i+1] += e.childOff[i]
+	return e, nil
+}
+
+// resourceSpan returns where the resources of the class an op of kind k
+// holds start in e.resources (traps, then segments, then junctions) and
+// how many the device has.
+func (e *engine) resourceSpan(k isa.OpKind) (base, count int) {
+	traps, segs := e.dev.NumTraps(), len(e.dev.Segments)
+	switch k.ResourceClass() {
+	case isa.ResSegment:
+		return traps, segs
+	case isa.ResJunction:
+		return traps + segs, len(e.dev.Junctions)
+	default:
+		return 0, traps
 	}
-	e.childList = make([]int32, e.childOff[nOps])
-	fill := make([]int32, nOps)
-	copy(fill, e.childOff[:nOps])
-	for i := range p.Ops {
-		for _, dep := range p.Ops[i].Deps {
-			e.childList[fill[dep]] = int32(i)
-			fill[dep]++
-		}
-	}
-	return e
 }
 
 // resourceIndex maps an op to its single required resource.
 func (e *engine) resourceIndex(op *isa.Op) int {
-	switch op.Kind {
-	case isa.OpMove, isa.OpLinkTransit:
-		return e.dev.NumTraps() + op.Segment
-	case isa.OpJunctionCross:
-		return e.dev.NumTraps() + len(e.dev.Segments) + op.Junction
-	default:
-		return op.Trap
-	}
+	base, _ := e.resourceSpan(op.Kind)
+	return base + int(op.Resource)
 }
 
 // run drives the event loop to completion.
@@ -229,7 +230,7 @@ func (e *engine) run() error {
 func (e *engine) firstBlocked() string {
 	for i := range e.prog.Ops {
 		if e.endTime[i] < 0 {
-			return e.prog.Ops[i].String()
+			return fmt.Sprintf("%d: %s", i, e.prog.Ops[i])
 		}
 	}
 	return "<none>"
@@ -261,17 +262,18 @@ func (e *engine) start(i int) {
 // duration evaluates the §VII.A / Table I time models against live state.
 func (e *engine) duration(op *isa.Op) float64 {
 	p := e.params
+	t := int(op.Resource) // the trap, for kinds that hold one
 	switch op.Kind {
 	case isa.OpGate1:
 		return p.OneQubitTime
 	case isa.OpMeasure:
 		return p.MeasureTime
 	case isa.OpGate2:
-		c := &e.chains[op.Trap]
+		c := &e.chains[t]
 		d := e.gateDistance(c, op)
 		return p.TwoQubitTime(d, c.n)
 	case isa.OpSwapGS:
-		c := &e.chains[op.Trap]
+		c := &e.chains[t]
 		d := e.gateDistance(c, op)
 		return float64(p.SwapMSGates)*p.TwoQubitTime(d, c.n) +
 			float64(p.SwapOneQGates)*p.OneQubitTime
@@ -282,13 +284,13 @@ func (e *engine) duration(op *isa.Op) float64 {
 	case isa.OpMerge:
 		return p.MergeTime
 	case isa.OpMove:
-		return p.MoveTime * float64(e.dev.Segments[op.Segment].Length)
+		return p.MoveTime * float64(e.dev.Segments[op.Resource].Length)
 	case isa.OpLinkTransit:
 		// Flat: remote entanglement + teleportation is one heralded round,
 		// however long the optical fiber.
 		return p.PhotonicLinkLatency
 	case isa.OpJunctionCross:
-		return p.JunctionTime(e.dev.Junctions[op.Junction].Kind())
+		return p.JunctionTime(e.dev.Junctions[op.Resource].Kind())
 	}
 	return p.OneQubitTime
 }
@@ -303,8 +305,9 @@ func (e *engine) positionIn(q, t int) int {
 
 // gateDistance returns the in-chain position separation of a 2-qubit op.
 func (e *engine) gateDistance(c *chain, op *isa.Op) int {
-	pa := e.positionIn(op.Qubits[0], op.Trap)
-	pb := e.positionIn(op.Qubits[1], op.Trap)
+	t := int(op.Resource)
+	pa := e.positionIn(int(op.Q[0]), t)
+	pb := e.positionIn(int(op.Q[1]), t)
 	if pa < 0 || pb < 0 {
 		// Recorded as an invariant violation by the completion handler.
 		return 1
@@ -322,7 +325,7 @@ func (e *engine) complete(i int) error {
 	e.endTime[i] = e.now
 	e.endOrder = append(e.endOrder, int32(i))
 	if err := e.apply(op); err != nil {
-		return fmt.Errorf("sim: op %s at t=%.1fµs: %w", op, e.now, err)
+		return fmt.Errorf("sim: op %d: %s at t=%.1fµs: %w", i, op, e.now, err)
 	}
 	e.done++
 	e.categoryBusy[op.Kind.Category()] += e.endTime[i] - e.startTime[i]
@@ -333,7 +336,7 @@ func (e *engine) complete(i int) error {
 	if next, ok := res.pop(); ok {
 		e.start(next)
 	}
-	for _, child := range e.childList[e.childOff[i]:e.childOff[i+1]] {
+	for _, child := range e.prog.Children[e.prog.ChildOff[i]:e.prog.ChildOff[i+1]] {
 		e.depsLeft[child]--
 		if e.depsLeft[child] == 0 {
 			e.requestResource(int(child))
@@ -379,10 +382,11 @@ func (e *engine) attach(c *chain, q, t int, left bool) {
 // apply mutates machine state and fidelity accounting for a finished op.
 func (e *engine) apply(op *isa.Op) error {
 	p := e.params
+	t := int(op.Resource) // the trap, for kinds that hold one
 	switch op.Kind {
 	case isa.OpGate1:
-		c := &e.chains[op.Trap]
-		if e.qTrap[op.Qubits[0]] != op.Trap {
+		c := &e.chains[t]
+		if e.qTrap[op.Q[0]] != t {
 			return fmt.Errorf("qubit not in trap")
 		}
 		terms := p.OneQubitError(c.nbar())
@@ -391,15 +395,15 @@ func (e *engine) apply(op *isa.Op) error {
 		e.logFidelity += math.Log(terms.Fidelity())
 
 	case isa.OpMeasure:
-		if e.qTrap[op.Qubits[0]] != op.Trap {
+		if e.qTrap[op.Q[0]] != t {
 			return fmt.Errorf("qubit not in trap")
 		}
 		e.measures++
 		e.logFidelity += math.Log(p.MeasureFidelity)
 
 	case isa.OpGate2:
-		c := &e.chains[op.Trap]
-		if e.qTrap[op.Qubits[0]] != op.Trap || e.qTrap[op.Qubits[1]] != op.Trap {
+		c := &e.chains[t]
+		if e.qTrap[op.Q[0]] != t || e.qTrap[op.Q[1]] != t {
 			return fmt.Errorf("gate operands not co-located")
 		}
 		d := e.gateDistance(c, op)
@@ -407,9 +411,9 @@ func (e *engine) apply(op *isa.Op) error {
 		e.recordMS(p.TwoQubitError(tau, c.n, c.nbar()), 1)
 
 	case isa.OpSwapGS:
-		c := &e.chains[op.Trap]
-		a, b := op.Qubits[0], op.Qubits[1]
-		if e.qTrap[a] != op.Trap || e.qTrap[b] != op.Trap {
+		c := &e.chains[t]
+		a, b := int(op.Q[0]), int(op.Q[1])
+		if e.qTrap[a] != t || e.qTrap[b] != t {
 			return fmt.Errorf("swap operands not co-located")
 		}
 		d := e.gateDistance(c, op)
@@ -424,9 +428,9 @@ func (e *engine) apply(op *isa.Op) error {
 		e.swapInChain(c, a, b)
 
 	case isa.OpIonSwap:
-		c := &e.chains[op.Trap]
-		a, b := op.Qubits[0], op.Qubits[1]
-		pa, pb := e.positionIn(a, op.Trap), e.positionIn(b, op.Trap)
+		c := &e.chains[t]
+		a, b := int(op.Q[0]), int(op.Q[1])
+		pa, pb := e.positionIn(a, t), e.positionIn(b, t)
 		if pa < 0 || pb < 0 {
 			return fmt.Errorf("ion-swap operands not co-located")
 		}
@@ -436,19 +440,19 @@ func (e *engine) apply(op *isa.Op) error {
 		c.energy = heating.IonSwapHop(c.energy, p.K1)
 		e.swapInChain(c, a, b)
 		e.tracker.CountIonSwap()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 
 	case isa.OpSplit:
-		c := &e.chains[op.Trap]
-		q := op.Qubits[0]
+		c := &e.chains[t]
+		q := int(op.Q[0])
 		n := c.n
 		if n == 0 {
 			return fmt.Errorf("split from empty trap")
 		}
-		atLeft := c.buf[c.head] == q && e.qTrap[q] == op.Trap
-		atRight := c.buf[c.slotAt(n-1)] == q && e.qTrap[q] == op.Trap
+		atLeft := c.buf[c.head] == q && e.qTrap[q] == t
+		atRight := c.buf[c.slotAt(n-1)] == q && e.qTrap[q] == t
 		if op.End == device.Left && !atLeft || op.End == device.Right && !atRight {
-			return fmt.Errorf("split qubit q%d not at %s end of trap %d", q, op.End, op.Trap)
+			return fmt.Errorf("split qubit q%d not at %s end of trap %d", q, op.End, t)
 		}
 		if n == 1 {
 			// Departing ion empties the trap; it carries the chain energy
@@ -462,20 +466,20 @@ func (e *engine) apply(op *isa.Op) error {
 		}
 		e.detach(c, q, op.End == device.Left)
 		e.tracker.CountSplit()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpMove:
-		q := op.Qubits[0]
+		q := int(op.Q[0])
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("move of qubit q%d that is not in transit", q)
 		}
-		e.transitE[q] = heating.Move(e.transitE[q], e.dev.Segments[op.Segment].Length, p.K2)
+		e.transitE[q] = heating.Move(e.transitE[q], e.dev.Segments[op.Resource].Length, p.K2)
 		e.tracker.CountMove()
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpLinkTransit:
-		q := op.Qubits[0]
+		q := int(op.Q[0])
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("link transit of qubit q%d that is not in transit", q)
 		}
@@ -488,7 +492,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpJunctionCross:
-		q := op.Qubits[0]
+		q := int(op.Q[0])
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("junction crossing of qubit q%d not in transit", q)
 		}
@@ -497,18 +501,18 @@ func (e *engine) apply(op *isa.Op) error {
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpMerge:
-		c := &e.chains[op.Trap]
-		q := op.Qubits[0]
+		c := &e.chains[t]
+		q := int(op.Q[0])
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("merge of qubit q%d that is not in transit", q)
 		}
 		if c.n >= e.dev.Capacity {
-			return fmt.Errorf("merge overflows trap %d (cap %d)", op.Trap, e.dev.Capacity)
+			return fmt.Errorf("merge overflows trap %d (cap %d)", t, e.dev.Capacity)
 		}
 		c.energy = heating.Merge(c.energy, e.transitE[q], p.K1)
-		e.attach(c, q, op.Trap, op.End == device.Left)
+		e.attach(c, q, t, op.End == device.Left)
 		e.tracker.CountMerge()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 
 	default:
 		return fmt.Errorf("unknown op kind %s", op.Kind)

@@ -273,10 +273,11 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 		Name: "bad", NumQubits: 1, DeviceName: "L2",
 		InitialLayout: [][]int{{0}, {}},
 		Ops: []isa.Op{{
-			ID: 0, Kind: isa.OpGate1, Qubits: []int{0}, Trap: 0,
-			Gate: circuit.GateH, Deps: []int{3}, Segment: -1, Junction: -1,
+			Kind: isa.OpGate1, Q: [2]int32{0}, Resource: 0,
+			Gate: circuit.GateH, Dep: [isa.MaxDeps]int32{3}, NDep: 1,
 		}},
 	}
+	p.Link()
 	if _, err := Run(p, d, params); err == nil {
 		t.Error("invalid deps should fail")
 	}
@@ -287,8 +288,36 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 		InitialLayout: [][]int{{0}},
 		Ops:           nil,
 	}
+	p2.Link()
 	if _, err := Run(p2, d, params); err == nil {
 		t.Error("layout/device mismatch should fail")
+	}
+
+	// Valid structure, resource the device does not have.
+	for _, op := range []isa.Op{
+		{Kind: isa.OpGate1, Q: [2]int32{0}, Resource: 2, Gate: circuit.GateH},
+		{Kind: isa.OpMove, Q: [2]int32{0}, Resource: 1, GateIndex: -1},
+		{Kind: isa.OpJunctionCross, Q: [2]int32{0}, Resource: 0, GateIndex: -1},
+	} {
+		p3 := &isa.Program{
+			Name: "bad3", NumQubits: 1, DeviceName: "L2",
+			InitialLayout: [][]int{{0}, {}},
+			Ops:           []isa.Op{op},
+		}
+		p3.Link()
+		if _, err := Run(p3, d, params); err == nil || !strings.Contains(err.Error(), "device L2 has") {
+			t.Errorf("%s on a missing resource: got %v, want a resource range error", op.Kind, err)
+		}
+	}
+
+	// A program that was never linked has no child CSR to schedule from.
+	p4 := &isa.Program{
+		Name: "unlinked", NumQubits: 1, DeviceName: "L2",
+		InitialLayout: [][]int{{0}, {}},
+		Ops:           []isa.Op{{Kind: isa.OpGate1, Q: [2]int32{0}, Resource: 0, Gate: circuit.GateH}},
+	}
+	if _, err := Run(p4, d, params); err == nil || !strings.Contains(err.Error(), "not linked") {
+		t.Errorf("unlinked program: got %v, want a not-linked error", err)
 	}
 }
 
@@ -300,10 +329,11 @@ func TestRunDetectsInvariantViolation(t *testing.T) {
 		Name: "viol", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0, 1, 2}, {}},
 		Ops: []isa.Op{{
-			ID: 0, Kind: isa.OpSplit, Qubits: []int{1}, Trap: 0,
-			End: device.Left, Segment: -1, Junction: -1, GateIndex: -1,
+			Kind: isa.OpSplit, Q: [2]int32{1}, Resource: 0,
+			End: device.Left, GateIndex: -1,
 		}},
 	}
+	p.Link()
 	_, err := Run(p, d, models.Default())
 	if err == nil || !strings.Contains(err.Error(), "split") {
 		t.Errorf("expected split invariant error, got %v", err)
@@ -316,11 +346,12 @@ func TestRunDetectsMergeOverflow(t *testing.T) {
 		Name: "overflow", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0}, {1, 2}},
 		Ops: []isa.Op{
-			{ID: 0, Kind: isa.OpSplit, Qubits: []int{0}, Trap: 0, End: device.Right, Segment: -1, Junction: -1, GateIndex: -1},
-			{ID: 1, Kind: isa.OpMove, Qubits: []int{0}, Trap: -1, Segment: 0, Junction: -1, GateIndex: -1, Deps: []int{0}},
-			{ID: 2, Kind: isa.OpMerge, Qubits: []int{0}, Trap: 1, End: device.Left, Segment: -1, Junction: -1, GateIndex: -1, Deps: []int{1}},
+			{Kind: isa.OpSplit, Q: [2]int32{0}, Resource: 0, End: device.Right, GateIndex: -1},
+			{Kind: isa.OpMove, Q: [2]int32{0}, Resource: 0, GateIndex: -1, Dep: [isa.MaxDeps]int32{0}, NDep: 1},
+			{Kind: isa.OpMerge, Q: [2]int32{0}, Resource: 1, End: device.Left, GateIndex: -1, Dep: [isa.MaxDeps]int32{1}, NDep: 1},
 		},
 	}
+	p.Link()
 	_, err := Run(p, d, models.Default())
 	if err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("expected merge overflow error, got %v", err)
@@ -455,19 +486,19 @@ func TestTransitEnergyObserved(t *testing.T) {
 	layout := make([][]int, d.NumTraps())
 	layout[src] = []int{0}
 	ops := []isa.Op{{
-		Kind: isa.OpSplit, Qubits: []int{0}, Trap: src, End: route.SrcEnd,
-		Segment: -1, Junction: -1, GateIndex: -1,
+		Kind: isa.OpSplit, Q: [2]int32{0}, Resource: int32(src), End: route.SrcEnd,
+		GateIndex: -1,
 	}}
 	for _, hop := range route.Hops {
-		prev := len(ops) - 1
+		prev := int32(len(ops) - 1)
 		ops = append(ops, isa.Op{
-			ID: len(ops), Kind: isa.OpMove, Qubits: []int{0}, Trap: -1,
-			Segment: hop.Segment, Junction: -1, GateIndex: -1, Deps: []int{prev},
+			Kind: isa.OpMove, Q: [2]int32{0},
+			Resource: int32(hop.Segment), GateIndex: -1, Dep: [isa.MaxDeps]int32{prev}, NDep: 1,
 		})
 		if hop.Node.Kind == device.NodeJunction {
 			ops = append(ops, isa.Op{
-				ID: len(ops), Kind: isa.OpJunctionCross, Qubits: []int{0}, Trap: -1,
-				Segment: -1, Junction: hop.Node.Index, GateIndex: -1, Deps: []int{len(ops) - 1},
+				Kind: isa.OpJunctionCross, Q: [2]int32{0},
+				Resource: int32(hop.Node.Index), GateIndex: -1, Dep: [isa.MaxDeps]int32{int32(len(ops) - 1)}, NDep: 1,
 			})
 		}
 	}
@@ -476,6 +507,7 @@ func TestTransitEnergyObserved(t *testing.T) {
 		Name: "transit", NumQubits: 1, DeviceName: d.Name,
 		InitialLayout: layout, Ops: ops,
 	}
+	prog.Link()
 	if err := prog.Validate(); err != nil {
 		t.Fatalf("hand-built program invalid: %v", err)
 	}

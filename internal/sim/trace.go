@@ -72,20 +72,10 @@ func (tr Trace) Validate() error {
 // RunTraced simulates like Run and additionally returns the execution
 // timeline with per-op queueing delays.
 func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result, Trace, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
+	e, err := newEngine(p, d, params)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := params.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-	if len(p.InitialLayout) != d.NumTraps() {
-		return nil, nil, fmt.Errorf("sim: program laid out for %d traps, device %s has %d",
-			len(p.InitialLayout), d.Name, d.NumTraps())
-	}
-	e := newEngine(p, d, params)
 	if err := e.run(); err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +85,7 @@ func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result,
 		trace = append(trace, TraceEntry{
 			Op:       i,
 			Kind:     op.Kind,
-			Resource: e.resourceName(op),
+			Resource: op.ResourceName(),
 			Start:    e.startTime[i],
 			End:      e.endTime[i],
 			Wait:     e.startTime[i] - e.readyTime[i],
@@ -108,16 +98,4 @@ func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result,
 		return trace[i].Op < trace[j].Op
 	})
 	return e.result(), trace, nil
-}
-
-// resourceName renders the resource an op occupies.
-func (e *engine) resourceName(op *isa.Op) string {
-	switch op.Kind {
-	case isa.OpMove, isa.OpLinkTransit:
-		return fmt.Sprintf("s%d", op.Segment)
-	case isa.OpJunctionCross:
-		return fmt.Sprintf("J%d", op.Junction)
-	default:
-		return fmt.Sprintf("T%d", op.Trap)
-	}
 }

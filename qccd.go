@@ -55,6 +55,8 @@ type (
 	// Device is a static QCCD hardware description.
 	Device = device.Device
 	// Program is a compiled executable of primitive QCCD instructions.
+	// Its Ops are flat Op values (an op's ID is its index) and its child
+	// CSR is built by Compile, or by Link for a hand-built program.
 	Program = isa.Program
 	// Result carries simulated application and device metrics.
 	Result = sim.Result
